@@ -39,7 +39,7 @@ use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
 use relief_metrics::{AppStats, FaultStats, Histogram, RunStats, ServiceStats, TrafficStats};
 use relief_service::{AdmissionState, QosClass, SelfHealConfig, ShedReason, StreamPlan};
 use relief_sim::{
-    AppId, Dur, EventQueue, Intern, InternId, KindId, SlotAlloc, SplitMix64, StallError,
+    AppId, ChunkLane, Dur, EventQueue, Intern, InternId, KindId, SlotAlloc, SplitMix64, StallError,
     StallKind, Time, Timeline,
 };
 use relief_trace::{EventKind, InputSource, ResourceId, ServiceClass, ShedCause, TaskRef, Tracer};
@@ -340,6 +340,8 @@ impl Purpose {
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival(usize),
+    /// A transfer's in-flight chunk completed. Queued only in reference
+    /// mode; the default path keeps these in [`SocSim::chunks`].
     Chunk(TransferId),
     ComputeDone(usize),
     Launch,
@@ -368,6 +370,8 @@ enum Ev {
 
 /// Every queued event pays `Ev`'s size in near-rung memmove traffic, so
 /// fat payloads must be parked out of line (see [`Ev::EccRefetch`]).
+/// Chunk completions, the bulk of all events, travel in the chunk lane
+/// as bare `TransferId`s instead; only reference mode queues `Ev::Chunk`.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
 /// One parked ECC re-fetch request (see [`Ev::EccRefetch`]); slots are
@@ -448,6 +452,10 @@ pub struct SocSim {
     /// admission-order sample sequence exactly.
     retired_dm: Vec<(u32, f64)>,
     events: EventQueue<Ev>,
+    /// Pending DMA chunk completions, merged into `events`' dispatch
+    /// order (see [`ChunkLane`]). Reference mode leaves it empty and
+    /// queues [`Ev::Chunk`] instead.
+    chunks: ChunkLane<TransferId>,
     now: Time,
     seq: u64,
     /// In-flight transfer purposes, indexed by the engine's dense slot id
@@ -680,6 +688,7 @@ impl SocSim {
             active_work: 0,
             retired_dm: Vec::new(),
             events,
+            chunks: ChunkLane::new(),
             now: Time::ZERO,
             seq: 0,
             transfers: Vec::new(),
@@ -785,13 +794,10 @@ impl SocSim {
     /// Runs the simulation to completion (all work drained, or the
     /// configured time limit reached) and returns the collected results.
     ///
-    /// The fast path drains same-timestamp event *cohorts* into a reused
-    /// scratch vector and dispatches each in one pass, hoisting the
-    /// time-limit check (and `now` update) out of the per-event loop;
-    /// events a handler pushes at the current instant form the *next*
-    /// cohort at the same time, which is exactly the order the per-event
-    /// loop would pop them in (they get later sequence numbers). Reference
-    /// mode keeps the pre-optimisation per-event loop.
+    /// One per-event loop dispatches the earlier of the event queue's
+    /// head and the chunk lane's head (see [`ChunkLane`]); reference mode
+    /// queues chunk completions as ordinary events, so the lane stays
+    /// empty there and the two paths pop the identical sequence.
     pub fn run(self) -> SimResult {
         match self.try_run() {
             Ok(result) => result,
@@ -812,49 +818,22 @@ impl SocSim {
     /// (both are model bugs, never a legitimate outcome of valid input).
     pub fn try_run(mut self) -> Result<SimResult, StallError> {
         let window = self.cfg.watchdog_window;
+        let limit = self.cfg.time_limit.unwrap_or(Time::MAX);
         let mut last_time = Time::ZERO;
         let mut last_advance = 0u64;
-        if self.cfg.reference_hot_path {
-            while let Some((at, ev)) = self.events.pop() {
-                if let Some(limit) = self.cfg.time_limit {
-                    if at > limit {
-                        self.truncated = true;
-                        break;
-                    }
-                }
-                self.now = at;
-                if at > last_time {
-                    last_time = at;
-                    last_advance = self.events.dispatched();
-                }
-                self.dispatch(ev);
-                if window > 0 && self.events.dispatched() - last_advance > window {
-                    return Err(self.stall(StallKind::NoProgressWindow));
-                }
-            }
-            return self.finish();
-        }
-        let mut cohort: Vec<Ev> = Vec::new();
-        while let Some(at) = self.events.pop_cohort(&mut cohort) {
-            if let Some(limit) = self.cfg.time_limit {
-                if at > limit {
-                    // The per-event loop pops (and counts) exactly one
-                    // event past the limit before breaking; mirror that so
-                    // the dispatch trace and count stay bit-identical.
-                    self.events.mark_dispatched(at);
-                    self.truncated = true;
-                    break;
-                }
+        while let Some((at, ev)) = self.chunks.pop_merged(&mut self.events, Ev::Chunk) {
+            // The event past the limit is popped (and counted) before the
+            // loop stops, so truncated runs count exactly one extra event.
+            if at > limit {
+                self.truncated = true;
+                break;
             }
             self.now = at;
             if at > last_time {
                 last_time = at;
                 last_advance = self.events.dispatched();
             }
-            for &ev in &cohort {
-                self.events.mark_dispatched(at);
-                self.dispatch(ev);
-            }
+            self.dispatch(ev);
             if window > 0 && self.events.dispatched() - last_advance > window {
                 return Err(self.stall(StallKind::NoProgressWindow));
             }
@@ -1890,7 +1869,7 @@ impl SocSim {
                     slot,
                 },
             );
-            self.events.push(first, Ev::Chunk(id));
+            self.push_chunk(first, id);
             self.node_rt_mut(slot, key.node).actual_bytes += bytes;
             pending += 1;
         }
@@ -1910,7 +1889,7 @@ impl SocSim {
             let route = Route { src: Port::Dram, dst: Port::Spad(inst_idx) };
             let (id, first) = self.engine.begin(route, bytes, inst_idx, self.now);
             self.track(id, Purpose::DramInput { child: key, attempt: 0, dst: inst_idx, slot });
-            self.events.push(first, Ev::Chunk(id));
+            self.push_chunk(first, id);
             self.node_rt_mut(slot, key.node).actual_bytes += bytes;
             pending += 1;
         }
@@ -2397,7 +2376,7 @@ impl SocSim {
         let route = Route { src: Port::Spad(inst), dst: Port::Dram };
         let (id, first) = self.engine.begin(route, bytes, inst, self.now);
         self.track(id, Purpose::WriteBack { node: key, slot });
-        self.events.push(first, Ev::Chunk(id));
+        self.push_chunk(first, id);
     }
 
     // ------------------------------------------------------------------
@@ -2418,6 +2397,16 @@ impl SocSim {
         self.transfers[slot] = Some(purpose);
         self.transfer_ids[slot] = Some(id);
         self.chunk_seq[slot] = 0;
+    }
+
+    /// Schedules the completion of a transfer's in-flight chunk at `at`.
+    #[inline]
+    fn push_chunk(&mut self, at: Time, id: TransferId) {
+        if self.cfg.reference_hot_path {
+            self.events.push(at, Ev::Chunk(id));
+        } else {
+            self.chunks.push(&mut self.events, at, id);
+        }
     }
 
     fn on_chunk(&mut self, id: TransferId) {
@@ -2451,7 +2440,7 @@ impl SocSim {
             }
         }
         match self.engine.on_chunk_done(id, self.now) {
-            Progress::Chunk(next) => self.events.push(next, Ev::Chunk(id)),
+            Progress::Chunk(next) => self.push_chunk(next, id),
             Progress::Done { start, end, bytes } => {
                 let purpose = self.transfers[id.slot()].take().expect("tracked transfer");
                 self.on_transfer_done(purpose, start, end, bytes);
@@ -2557,7 +2546,7 @@ impl SocSim {
             None => Purpose::DramInput { child, attempt: attempt + 1, dst: inst_idx, slot },
         };
         self.track(id, purpose);
-        self.events.push(first, Ev::Chunk(id));
+        self.push_chunk(first, id);
         // The released forwarding-source partition may unblock a claim.
         self.retry_stalled();
     }
@@ -2635,7 +2624,7 @@ impl SocSim {
         // The fresh transfer re-pinned the instance; the parked re-fetch's
         // pin hands off to it.
         self.dags[slot as usize].pins -= 1;
-        self.events.push(first, Ev::Chunk(id));
+        self.push_chunk(first, id);
     }
 
     /// Charges a transfer's *service* time (volume over the path's peak

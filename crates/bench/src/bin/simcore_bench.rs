@@ -31,9 +31,11 @@
 //! written to `target/BENCH_simcore.check.json` (unless `--out` is
 //! given), read back and schema-validated, then compared against the
 //! committed `BENCH_simcore.json` baseline — the fresh run's fastest
-//! pass must stay within `--tolerance` percent (default 10) of the
-//! committed optimised median ns/event, or the gate fails printing both
-//! sides. It then runs a reduced soak and gates its ns/event against
+//! pass, in calibrated units (optimised ns/event over the calibration
+//! kernel's ms, see [`walltime::calibration_kernel`]), must stay within
+//! `--tolerance` percent (default 10) of the committed median calibrated
+//! cost, or the gate fails printing both sides, calibrated and absolute.
+//! It then runs a reduced soak and gates its ns/event against
 //! the committed `+soak` trajectory entry at a loose 60 % tolerance
 //! (soak cost is arrival-path-dominated and noisier than the closed
 //! loop), plus the hard live-set bound. A missing baseline skips the
@@ -117,6 +119,11 @@ fn main() -> ExitCode {
         );
     }
     println!("  speedup    {:.2}x (reference ns/event over optimized)", report.speedup);
+    let c = &report.calibration;
+    println!(
+        "  calibrated {:>8.3} ns/event per kernel-ms (min {:.3}); kernel {:.1} ms median",
+        c.ns_per_event_per_kernel_ms.median, c.ns_per_event_per_kernel_ms.min, c.kernel_ms.median,
+    );
 
     let json = walltime::to_json(&report);
     if let Err(e) = std::fs::write(&out, &json) {
@@ -298,6 +305,7 @@ fn run_soak(smoke: bool, jobs: usize, trajectory: &str) -> ExitCode {
         speedup: 1.0,
         rss_peak_mb: rss,
         live_high_water: Some(outcome.live_high_water),
+        calib_ms: Some(walltime::calibration_ms()),
     };
     let history = std::fs::read_to_string(trajectory).ok();
     let body = walltime::append_trajectory(history.as_deref(), &entry);

@@ -14,6 +14,12 @@
 //! The subset is pinned (same policies, mixes, seeds, iteration pairing)
 //! so successive PRs produce comparable `BENCH_simcore.json` files: a
 //! perf trajectory, not a one-off number.
+//!
+//! Host speed moves absolute ns/event by up to 2× between machines (and
+//! between runs on one shared machine), so every iteration also times a
+//! fixed calibration kernel ([`calibration_kernel`]) next to its
+//! optimised pass. The regression gate compares ns/event ÷ kernel ms,
+//! which cancels the host's speed; absolute figures stay on record.
 
 use crate::config_for;
 use relief_accel::{AppSpec, SocSim};
@@ -21,17 +27,49 @@ use relief_core::PolicyKind;
 use relief_workloads::Contention;
 use std::time::Instant;
 
-/// Schema tag written to (and required in) `BENCH_simcore.json`.
-pub const SCHEMA: &str = "relief-simcore-bench/v1";
+/// Schema tag written to (and required in) `BENCH_simcore.json`. v2
+/// adds the `calibration` section the regression gate reads.
+pub const SCHEMA: &str = "relief-simcore-bench/v2";
 
 /// Schema tag of the sibling `BENCH_trajectory.json` history file.
-/// v2 adds the optional per-entry `rss_peak_mb` and `live_high_water`
-/// fields the `+soak` series records; v1 files are still parsed and
+/// v2 added the optional per-entry `rss_peak_mb` and `live_high_water`
+/// fields the `+soak` series records; v3 adds the optional `calib_ms`
+/// (calibration kernel time). Older files are still parsed and
 /// rewritten under this tag on the next append.
-pub const TRAJECTORY_SCHEMA: &str = "relief-simcore-trajectory/v2";
+pub const TRAJECTORY_SCHEMA: &str = "relief-simcore-trajectory/v3";
 
-/// The previous trajectory schema tag, still accepted on read.
-pub const TRAJECTORY_SCHEMA_V1: &str = "relief-simcore-trajectory/v1";
+/// Earlier trajectory schema tags, still accepted on read.
+pub const TRAJECTORY_SCHEMAS_OLD: [&str; 2] =
+    ["relief-simcore-trajectory/v1", "relief-simcore-trajectory/v2"];
+
+/// What the calibration kernel does, recorded in `BENCH_simcore.json`.
+pub const CALIBRATION_KERNEL: &str = "SplitMix64 fill + sort_unstable of 2^20 u64";
+
+/// Words the calibration kernel fills and sorts.
+const KERNEL_LEN: usize = 1 << 20;
+
+/// The host-speed calibration kernel: fill 2^20 words from SplitMix64
+/// and sort them — the same fixed integer work the repository benchmark
+/// (`perfbench`) times, so the two report comparable host speeds.
+/// Returns a checksum so the work cannot be optimized away.
+pub fn calibration_kernel() -> u64 {
+    let mut rng = relief_sim::SplitMix64::new(0xCA11_B8A7);
+    let mut v: Vec<u64> = (0..KERNEL_LEN).map(|_| rng.next_u64()).collect();
+    v.sort_unstable();
+    v[KERNEL_LEN / 2] ^ v[0]
+}
+
+/// Wall time of one [`calibration_kernel`] pass, milliseconds.
+pub fn calibration_ms() -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(calibration_kernel());
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// True when `body` carries the current or an earlier trajectory tag.
+fn is_trajectory(body: &str) -> bool {
+    body.contains(TRAJECTORY_SCHEMA) || TRAJECTORY_SCHEMAS_OLD.iter().any(|t| body.contains(t))
+}
 
 /// Human-readable description of the pinned subset, recorded in the JSON
 /// so readers know what was measured.
@@ -197,6 +235,28 @@ impl PathStats {
     }
 }
 
+/// Host-speed calibration of one benchmark run.
+#[derive(Debug, Clone, Copy)]
+pub struct Calibration {
+    /// [`calibration_kernel`] time per iteration, milliseconds.
+    pub kernel_ms: Spread,
+    /// Per iteration, optimised ns/event over that iteration's kernel
+    /// ms: the host-invariant figure the regression gate compares.
+    pub ns_per_event_per_kernel_ms: Spread,
+}
+
+impl Calibration {
+    /// Pairs each optimised pass with the kernel time taken beside it.
+    fn of(opt: &[Sample], kernel_ms: &[f64]) -> Calibration {
+        Calibration {
+            kernel_ms: Spread::of(kernel_ms.to_vec()),
+            ns_per_event_per_kernel_ms: Spread::of(
+                opt.iter().zip(kernel_ms).map(|(s, k)| s.ns_per_event() / k).collect(),
+            ),
+        }
+    }
+}
+
 /// The full benchmark result serialised to `BENCH_simcore.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -213,6 +273,8 @@ pub struct BenchReport {
     pub reference: PathStats,
     /// Median reference ns/event over median optimised ns/event.
     pub speedup: f64,
+    /// Host-speed calibration taken alongside the optimised passes.
+    pub calibration: Calibration,
 }
 
 /// Times `iters` interleaved optimised/reference passes over the pinned
@@ -316,7 +378,9 @@ pub fn measure_events(iters: u32) -> BenchReport {
     run_events_pass(true);
     let mut opt = Vec::new();
     let mut reference = Vec::new();
+    let mut kernel = Vec::new();
     for _ in 0..iters {
+        kernel.push(calibration_ms());
         opt.push(run_events_pass(false));
         reference.push(run_events_pass(true));
     }
@@ -329,6 +393,7 @@ pub fn measure_events(iters: u32) -> BenchReport {
         optimized,
         reference: ref_stats,
         speedup: ref_stats.ns_per_event.median / optimized.ns_per_event.median,
+        calibration: Calibration::of(&opt, &kernel),
     }
 }
 
@@ -340,7 +405,9 @@ fn measure_cases(cases: Vec<Case>, iters: u32) -> BenchReport {
     run_cases(&cases, true);
     let mut opt = Vec::new();
     let mut reference = Vec::new();
+    let mut kernel = Vec::new();
     for _ in 0..iters {
+        kernel.push(calibration_ms());
         let o = run_cases(&cases, false);
         let r = run_cases(&cases, true);
         assert_eq!(
@@ -359,6 +426,7 @@ fn measure_cases(cases: Vec<Case>, iters: u32) -> BenchReport {
         optimized,
         reference: ref_stats,
         speedup: ref_stats.ns_per_event.median / optimized.ns_per_event.median,
+        calibration: Calibration::of(&opt, &kernel),
     }
 }
 
@@ -384,7 +452,9 @@ pub fn to_json(r: &BenchReport) -> String {
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"subset\": \"{}\",\n  \"iters\": {},\n  \
          \"runs_per_iter\": {},\n  \"events_per_iter\": {},\n  \"optimized\": {},\n  \
-         \"reference\": {},\n  \"speedup_ns_per_event\": {:.2}\n}}\n",
+         \"reference\": {},\n  \"speedup_ns_per_event\": {:.2},\n  \"calibration\": {{\n    \
+         \"kernel\": \"{}\",\n    \"kernel_ms\": {},\n    \
+         \"ns_per_event_per_kernel_ms\": {}\n  }}\n}}\n",
         SCHEMA,
         SUBSET,
         r.iters,
@@ -393,6 +463,9 @@ pub fn to_json(r: &BenchReport) -> String {
         path_json(&r.optimized),
         path_json(&r.reference),
         r.speedup,
+        CALIBRATION_KERNEL,
+        spread_json(&r.calibration.kernel_ms, 2),
+        spread_json(&r.calibration.ns_per_event_per_kernel_ms, 4),
     )
 }
 
@@ -416,6 +489,9 @@ pub struct TrajectoryEntry {
     pub rss_peak_mb: Option<f64>,
     /// Live-slot high-water mark (schema v2, `+soak` entries only).
     pub live_high_water: Option<u64>,
+    /// Median calibration kernel time in ms (schema v3), so entries
+    /// recorded on hosts of different speeds can be read side by side.
+    pub calib_ms: Option<f64>,
 }
 
 impl TrajectoryEntry {
@@ -431,6 +507,7 @@ impl TrajectoryEntry {
             speedup: r.speedup,
             rss_peak_mb: None,
             live_high_water: None,
+            calib_ms: Some(r.calibration.kernel_ms.median),
         }
     }
 
@@ -456,6 +533,9 @@ impl TrajectoryEntry {
         if let Some(hw) = self.live_high_water {
             out.push_str(&format!(", \"live_high_water\": {hw}"));
         }
+        if let Some(ms) = self.calib_ms {
+            out.push_str(&format!(", \"calib_ms\": {ms:.2}"));
+        }
         out.push('}');
         out
     }
@@ -467,12 +547,8 @@ impl TrajectoryEntry {
 /// are kept in append order, one per line, so diffs stay one-line-per-PR.
 #[must_use]
 pub fn append_trajectory(existing: Option<&str>, entry: &TrajectoryEntry) -> String {
-    let mut entries: Vec<String> = existing
-        .filter(|body| {
-            body.contains(TRAJECTORY_SCHEMA) || body.contains(TRAJECTORY_SCHEMA_V1)
-        })
-        .map(extract_flat_objects)
-        .unwrap_or_default();
+    let mut entries: Vec<String> =
+        existing.filter(|body| is_trajectory(body)).map(extract_flat_objects).unwrap_or_default();
     entries.push(entry.to_json());
     let mut out = format!("{{\n  \"schema\": \"{TRAJECTORY_SCHEMA}\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -512,7 +588,7 @@ fn flat_field(entry: &str, key: &str) -> Option<f64> {
 /// missing, from another schema, or holds no soak entries yet.
 #[must_use]
 pub fn last_soak_ns(history: &str) -> Option<f64> {
-    if !history.contains(TRAJECTORY_SCHEMA) && !history.contains(TRAJECTORY_SCHEMA_V1) {
+    if !is_trajectory(history) {
         return None;
     }
     extract_flat_objects(history)
@@ -531,44 +607,68 @@ fn flat_label(entry: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
+/// Reads the median of the `{"median", …}` spread that follows `key`
+/// inside the `section` object of a serialised `BENCH_simcore.json`.
+fn section_median(json: &str, section: &str, key: &str) -> Result<f64, String> {
+    let body = json
+        .find(&format!("\"{section}\":"))
+        .map(|at| &json[at..])
+        .ok_or(format!("missing {section} section"))?;
+    let needle = format!("\"{key}\": {{\"median\": ");
+    let num =
+        body.find(&needle).map(|at| &body[at + needle.len()..]).ok_or(format!("missing {key}"))?;
+    let end = num.find([',', '}']).ok_or(format!("unterminated {key} median"))?;
+    num[..end].trim().parse().map_err(|e| format!("bad {key} median: {e}"))
+}
+
 /// Reads the optimised median ns/event out of a serialised
-/// `BENCH_simcore.json` — the committed baseline the regression gate
-/// compares against.
+/// `BENCH_simcore.json` — kept on record beside the calibrated figure.
 pub fn baseline_optimized_ns(json: &str) -> Result<f64, String> {
     validate(json)?;
-    let opt = json
-        .find("\"optimized\":")
-        .map(|at| &json[at..])
-        .ok_or("missing optimized section")?;
-    let key = "\"ns_per_event\": {\"median\": ";
-    let num = opt.find(key).map(|at| &opt[at + key.len()..]).ok_or("missing ns_per_event")?;
-    let end = num.find([',', '}']).ok_or("unterminated ns_per_event median")?;
-    num[..end].trim().parse().map_err(|e| format!("bad ns_per_event median: {e}"))
+    section_median(json, "optimized", "ns_per_event")
+}
+
+/// Reads the median calibrated cost (optimised ns/event over kernel ms)
+/// out of a serialised `BENCH_simcore.json` — the committed baseline the
+/// regression gate compares against.
+pub fn baseline_calibrated(json: &str) -> Result<f64, String> {
+    validate(json)?;
+    section_median(json, "calibration", "ns_per_event_per_kernel_ms")
 }
 
 /// The no-regression gate of `xtask bench --check`: the *fastest* pass
-/// of the fresh run must stay within `tolerance` (a fraction, e.g.
-/// `0.10`) of the committed baseline's *median* ns/event. Comparing
-/// fresh-min against committed-median absorbs run-to-run host noise
-/// (a loaded box only ever makes the fresh run look slower) while still
-/// catching real hot-path regressions. Returns a side-by-side summary
-/// either way; `Err` means the gate failed.
+/// of the fresh run, in calibrated units (optimised ns/event over the
+/// calibration kernel's ms), must stay within `tolerance` (a fraction,
+/// e.g. `0.10`) of the committed baseline's *median* calibrated cost.
+/// Dividing by the kernel cancels host speed, so the gate trips on code,
+/// not on the machine; comparing fresh-min against committed-median
+/// absorbs run-to-run noise (a loaded box only ever makes the fresh run
+/// look slower). The summary also reports absolute ns/event and kernel
+/// ms on both sides. Returns the summary either way; `Err` means the
+/// gate failed.
 pub fn regression_gate(
     baseline_json: &str,
     report: &BenchReport,
     tolerance: f64,
 ) -> Result<String, String> {
-    let old = baseline_optimized_ns(baseline_json).map_err(|e| format!("bad baseline: {e}"))?;
-    let new_min = report.optimized.ns_per_event.min;
-    let new_median = report.optimized.ns_per_event.median;
+    let old = baseline_calibrated(baseline_json).map_err(|e| format!("bad baseline: {e}"))?;
+    let old_ns = baseline_optimized_ns(baseline_json).map_err(|e| format!("bad baseline: {e}"))?;
+    let old_kernel = section_median(baseline_json, "calibration", "kernel_ms")
+        .map_err(|e| format!("bad baseline: {e}"))?;
+    let fresh = report.calibration.ns_per_event_per_kernel_ms;
     let limit = old * (1.0 + tolerance);
     let summary = format!(
-        "committed median {old:.1} ns/event vs fresh median {new_median:.1} (min {new_min:.1}); \
-         limit {limit:.1} at {:.0}% tolerance",
-        tolerance * 100.0
+        "committed median {old:.3} vs fresh median {:.3} (min {:.3}) ns/event per kernel-ms; \
+         limit {limit:.3} at {:.0}% tolerance [absolute: committed {old_ns:.1} ns/event at \
+         {old_kernel:.1} ms/kernel, fresh {:.1} ns/event at {:.1} ms/kernel]",
+        fresh.median,
+        fresh.min,
+        tolerance * 100.0,
+        report.optimized.ns_per_event.median,
+        report.calibration.kernel_ms.median,
     );
     // total_cmp: a NaN measurement must fail the gate, not sneak past `>`.
-    if new_min.total_cmp(&limit) == std::cmp::Ordering::Greater || !new_min.is_finite() {
+    if fresh.min.total_cmp(&limit) == std::cmp::Ordering::Greater || !fresh.min.is_finite() {
         Err(format!("hot path regressed: {summary}"))
     } else {
         Ok(summary)
@@ -585,7 +685,13 @@ pub fn validate(json: &str) -> Result<(), String> {
     if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         return Err(format!("missing schema tag {SCHEMA:?}"));
     }
-    for key in ["\"optimized\":", "\"reference\":", "\"speedup_ns_per_event\":"] {
+    for key in [
+        "\"optimized\":",
+        "\"reference\":",
+        "\"speedup_ns_per_event\":",
+        "\"calibration\":",
+        "\"ns_per_event_per_kernel_ms\":",
+    ] {
         if !json.contains(key) {
             return Err(format!("missing key {key}"));
         }
@@ -631,6 +737,20 @@ mod tests {
         assert_eq!(s.events_per_sec(), 5e8);
     }
 
+    /// A calibration at a fixed `kernel_ms` for every pass.
+    fn calibration(opt: &PathStats, kernel_ms: f64) -> Calibration {
+        let k = Spread { median: kernel_ms, min: kernel_ms, max: kernel_ms };
+        let n = opt.ns_per_event;
+        Calibration {
+            kernel_ms: k,
+            ns_per_event_per_kernel_ms: Spread {
+                median: n.median / kernel_ms,
+                min: n.min / kernel_ms,
+                max: n.max / kernel_ms,
+            },
+        }
+    }
+
     #[test]
     fn json_roundtrip_validates() {
         let stats = PathStats {
@@ -645,9 +765,25 @@ mod tests {
             optimized: stats,
             reference: stats,
             speedup: 1.0,
+            calibration: calibration(&stats, 20.0),
         };
         let json = to_json(&report);
         assert_eq!(validate(&json), Ok(()));
+        assert_eq!(baseline_calibrated(&json), Ok(2.5));
+        // A v1-tagged report no longer validates.
+        let v1 = json.replace(SCHEMA, "relief-simcore-bench/v1");
+        assert!(validate(&v1).is_err());
+    }
+
+    #[test]
+    fn calibration_pairs_each_pass_with_its_kernel_time() {
+        let opt = [Sample { wall_ns: 6_000, events: 100 }, Sample { wall_ns: 12_000, events: 100 }];
+        // The second pass ran on a host twice as slow: same code, same
+        // calibrated cost.
+        let c = Calibration::of(&opt, &[20.0, 40.0]);
+        assert_eq!(c.ns_per_event_per_kernel_ms.min, 3.0);
+        assert_eq!(c.ns_per_event_per_kernel_ms.max, 3.0);
+        assert_eq!(c.kernel_ms.median, 30.0);
     }
 
     #[test]
@@ -669,11 +805,21 @@ mod tests {
                 events_per_sec: Spread { median: 0.0, min: 0.0, max: 0.0 },
             },
             speedup: 1.0,
+            calibration: Calibration {
+                kernel_ms: Spread { median: 1.0, min: 1.0, max: 1.0 },
+                ns_per_event_per_kernel_ms: Spread { median: 1.0, min: 1.0, max: 1.0 },
+            },
         });
         assert!(validate(&zeroed).unwrap_err().contains("positive"));
     }
 
     fn report_with_optimized_median(median: f64) -> BenchReport {
+        report_on_host(median, 20.0)
+    }
+
+    /// A report whose passes ran at `median` ns/event on a host whose
+    /// calibration kernel took `kernel_ms`.
+    fn report_on_host(median: f64, kernel_ms: f64) -> BenchReport {
         let stats = PathStats {
             wall_ms: Spread { median: 10.0, min: 9.5, max: 11.0 },
             ns_per_event: Spread { median, min: median * 0.95, max: median * 1.4 },
@@ -686,6 +832,7 @@ mod tests {
             optimized: stats,
             reference: stats,
             speedup: 1.0,
+            calibration: calibration(&stats, kernel_ms),
         }
     }
 
@@ -715,12 +862,13 @@ mod tests {
         soak.live_high_water = Some(42);
         let body = append_trajectory(None, &soak);
         assert!(body.contains("\"rss_peak_mb\": 123.4"), "{body}");
+        assert!(body.contains("\"calib_ms\": 20.00"), "{body}");
         assert!(body.contains("\"live_high_water\": 42"), "{body}");
         assert!(relief_trace::chrome::is_well_formed_json(&body));
         // A v1-tagged history is still parsed: entries survive the append.
-        let v1 = append_trajectory(None, &plain)
-            .replace(TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMA_V1);
-        assert!(v1.contains(TRAJECTORY_SCHEMA_V1));
+        let v1 =
+            append_trajectory(None, &plain).replace(TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMAS_OLD[0]);
+        assert!(v1.contains(TRAJECTORY_SCHEMAS_OLD[0]));
         let upgraded = append_trajectory(Some(&v1), &soak);
         assert_eq!(upgraded.matches("\"label\"").count(), 2, "{upgraded}");
         assert!(upgraded.contains(TRAJECTORY_SCHEMA), "{upgraded}");
@@ -749,17 +897,32 @@ mod tests {
 
     #[test]
     fn regression_gate_passes_within_tolerance_and_fails_beyond() {
+        // Kernel 20 ms throughout: 100 ns/event calibrates to 5.0.
         let baseline = to_json(&report_with_optimized_median(100.0));
-        // Fresh min 95.0 (median 100) against limit 110: pass.
+        // Fresh min 4.75 (median 5.0) against limit 5.5: pass.
         let same = report_with_optimized_median(100.0);
         assert!(regression_gate(&baseline, &same, 0.10).is_ok());
-        // Fresh min 114 > 110: fail, and the message shows both sides.
+        // Fresh min 5.7 > 5.5: fail, and the message shows both sides,
+        // calibrated and absolute.
         let slower = report_with_optimized_median(120.0);
         let err = regression_gate(&baseline, &slower, 0.10).unwrap_err();
-        assert!(err.contains("100.0"), "missing old median: {err}");
-        assert!(err.contains("114.0"), "missing new min: {err}");
+        assert!(err.contains("5.000"), "missing old median: {err}");
+        assert!(err.contains("5.700"), "missing new min: {err}");
+        assert!(err.contains("100.0 ns/event"), "missing absolute baseline: {err}");
         // A looser tolerance admits the same run.
         assert!(regression_gate(&baseline, &slower, 0.20).is_ok());
+    }
+
+    #[test]
+    fn regression_gate_is_host_invariant() {
+        let baseline = to_json(&report_on_host(63.4, 20.0));
+        // The same code on a host twice as slow: absolute ns doubles,
+        // the kernel doubles with it, and the gate still passes.
+        assert!(regression_gate(&baseline, &report_on_host(126.8, 40.0), 0.10).is_ok());
+        // A real 20 % regression on that slow host still fails.
+        assert!(regression_gate(&baseline, &report_on_host(152.2, 40.0), 0.10).is_err());
+        // A faster host cannot mask a regression either.
+        assert!(regression_gate(&baseline, &report_on_host(45.6, 12.0), 0.10).is_err());
     }
 
     #[test]

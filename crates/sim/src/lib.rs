@@ -6,7 +6,9 @@
 //! * [`Time`] / [`Dur`] — simulated time as integer picoseconds, so that
 //!   bandwidth arithmetic on sub-nanosecond bus transactions stays exact.
 //! * [`EventQueue`] — a priority queue of `(Time, sequence, E)` entries with
-//!   deterministic FIFO tie-breaking.
+//!   deterministic FIFO tie-breaking, and [`ChunkLane`], a side lane for
+//!   DMA chunk completions that shares the queue's sequence counter and
+//!   merges into its dispatch order exactly.
 //! * [`Timeline`] — a single-server resource model used for DMA engines,
 //!   interconnect lanes, and the DRAM channel.
 //!
@@ -37,6 +39,7 @@
 
 pub mod idmap;
 pub mod intern;
+pub mod lane;
 pub mod queue;
 pub mod rng;
 pub mod slab;
@@ -46,6 +49,7 @@ pub mod timeline;
 
 pub use idmap::{IdHashMap, IdHasher};
 pub use intern::{AppId, Intern, InternId, KindId};
+pub use lane::ChunkLane;
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use slab::SlotAlloc;

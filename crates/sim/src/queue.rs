@@ -93,6 +93,13 @@ const MAX_WIDTH_SHIFT: u32 = 48;
 /// costs keep growing logarithmically.
 const ENGAGE_THRESHOLD: usize = 128;
 
+/// The `(time, seq)` order as one integer: fire time in the high word,
+/// sequence number in the low word.
+#[inline]
+pub(crate) fn pack_key(at: Time, seq: u64) -> u128 {
+    (u128::from(at.as_ps()) << 64) | u128::from(seq)
+}
+
 /// One scheduled entry: fire time, insertion sequence, payload.
 struct Entry<E> {
     at: Time,
@@ -212,14 +219,25 @@ impl<E> EventQueue<E> {
         self.tracer = tracer;
     }
 
-    /// Schedules `event` to fire at `at`.
-    pub fn push(&mut self, at: Time, event: E) {
+    /// Draws the next sequence number. Every scheduled event takes one,
+    /// whether it goes into this queue or into a [`ChunkLane`] beside it,
+    /// so `(time, seq)` stays a total order across both.
+    ///
+    /// [`ChunkLane`]: crate::ChunkLane
+    #[inline]
+    pub(crate) fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         // A wrapped sequence counter would silently break FIFO-among-
         // equals; at one event per picosecond that is >200 days of
         // simulated time, so treat it as a simulator bug.
         debug_assert!(seq != u64::MAX, "event sequence counter about to wrap");
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` to fire at `at`.
+    pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.draw_seq();
         let entry = Entry { at, seq, event };
         self.len += 1;
         if self.reference_heap {
@@ -443,10 +461,35 @@ impl<E> EventQueue<E> {
         Some(at)
     }
 
+    /// Packed `(time, seq)` key of the earliest pending event, or
+    /// `u128::MAX` when empty. Promotes the next calendar bin into `near`
+    /// when `near` has run dry, exactly as the next pop would.
+    #[inline]
+    pub(crate) fn head_key(&mut self) -> u128 {
+        match self.near.last() {
+            Some(e) => pack_key(e.at, e.seq),
+            None => self.head_key_refill(),
+        }
+    }
+
+    /// The `near`-empty slow path of [`EventQueue::head_key`].
+    #[cold]
+    fn head_key_refill(&mut self) -> u128 {
+        if self.reference_heap {
+            return self.heap.peek().map_or(u128::MAX, |e| pack_key(e.at, e.seq));
+        }
+        if self.engaged {
+            self.replenish_near();
+        }
+        self.near.last().map_or(u128::MAX, |e| pack_key(e.at, e.seq))
+    }
+
     /// Accounts one cohort-drained event as dispatched: bumps the
     /// dispatch counter and emits the `EventDispatched` trace record at
     /// `at`. Call exactly once per event returned by
     /// [`EventQueue::pop_cohort`], immediately before handling it.
+    /// [`ChunkLane::pop_merged`](crate::ChunkLane::pop_merged) calls it
+    /// for every lane event it pops.
     pub fn mark_dispatched(&mut self, at: Time) {
         let index = self.popped;
         self.popped += 1;

@@ -57,6 +57,7 @@ impl Timeline {
 
     /// Reserves `dur` of service starting no earlier than `now`, returning
     /// the `(start, end)` of the granted interval.
+    #[inline]
     pub fn reserve(&mut self, now: Time, dur: Dur) -> (Time, Time) {
         let start = now.max(self.free_at);
         self.reserve_from(now, start, dur)
@@ -69,6 +70,7 @@ impl Timeline {
     /// compute a correlated start themselves (the transfer engine's
     /// allocation-free chunk path) — so stats, tracer emission, and
     /// `free_at` updates cannot drift between them.
+    #[inline]
     pub fn reserve_from(&mut self, now: Time, start: Time, dur: Dur) -> (Time, Time) {
         debug_assert!(start >= self.earliest_start(now), "start predates availability");
         let end = start + dur;
@@ -87,6 +89,7 @@ impl Timeline {
     }
 
     /// Earliest instant at or after `now` when service could begin.
+    #[inline]
     pub fn earliest_start(&self, now: Time) -> Time {
         now.max(self.free_at)
     }

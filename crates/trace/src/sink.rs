@@ -169,10 +169,18 @@ impl Tracer {
     /// Emits an event at simulated time `at_ps`. The closure runs only
     /// when a sink is attached, so argument formatting/allocation is
     /// skipped entirely while tracing is off.
+    #[inline]
     pub fn emit(&self, at_ps: u64, make: impl FnOnce() -> EventKind) {
-        if self.sinks.is_empty() {
-            return;
+        if !self.sinks.is_empty() {
+            self.emit_to_sinks(at_ps, make);
         }
+    }
+
+    /// The sinks-attached body of [`Tracer::emit`], kept out of line so
+    /// the tracer-off path at every call site is one inlined branch.
+    #[cold]
+    #[inline(never)]
+    fn emit_to_sinks(&self, at_ps: u64, make: impl FnOnce() -> EventKind) {
         let kind = make();
         let Some((last, rest)) = self.sinks.split_last() else { return };
         for sink in rest {

@@ -45,15 +45,21 @@
 //!    `recycling_equivalence` (generational instance recycling against
 //!    the never-retiring reference path: bit-exact stats/traces, stale
 //!    timeouts dropped on recycled slots, bounded-memory mode
-//!    observation-only), and `oracle_conformance`
+//!    observation-only), `dispatch_equivalence` (the chunk lane's
+//!    merged dispatch against queue-only dispatch: watchdog trips,
+//!    stale completions of cancelled transfers, time-limit
+//!    truncation), and `oracle_conformance`
 //!    (the ahead-of-time scheduling bound: oracle ≤ every online
 //!    policy, prediction = replay bit-exactly, beam-width monotonicity,
 //!    recorded-run replay differentials).
 //! 6. `xtask bench --check` — a short run of the hot-path benchmark that
 //!    validates the `BENCH_simcore.json` schema and then gates on the
-//!    committed baseline: the fresh run's fastest pass must stay within
-//!    10 % of the committed optimised median ns/event (skipped with a
-//!    notice when no baseline is committed).
+//!    committed baseline: the fresh run's fastest pass, as ns/event over
+//!    the calibration kernel's ms (a fixed SplitMix64 fill plus sort,
+//!    timed beside every pass so host speed cancels), must stay within
+//!    10 % of the committed median of that ratio; absolute ns/event is
+//!    printed and recorded alongside (skipped with a notice when no
+//!    baseline is committed).
 //!
 //! `check --suite <name>[,<name>...]` runs a subset of those steps by
 //! name (see `check --list-suites` for the names); everything else is
@@ -103,7 +109,7 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 12] = [
+const TEST_SUITES: [(&str, &str); 13] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
     ("relief", "golden_experiments"),
@@ -115,6 +121,7 @@ const TEST_SUITES: [(&str, &str); 12] = [
     ("relief", "queue_equivalence"),
     ("relief", "soa_equivalence"),
     ("relief", "recycling_equivalence"),
+    ("relief", "dispatch_equivalence"),
     ("relief", "oracle_conformance"),
 ];
 
