@@ -18,7 +18,13 @@
 //! * **write-back rules** (§III-C.2): a finishing node's output is written
 //!   to DRAM immediately unless every child is next in line for execution;
 //!   deferred outputs are lazily written back if their partition is needed
-//!   before all children have consumed them.
+//!   before all children have consumed them;
+//! * **open-loop serving**: when `cfg.stream` is enabled, a
+//!   [`relief_service::Frontend`] owns admission, circuit breakers,
+//!   timeouts, hedges and the service statistics. The SoC keeps event
+//!   order, DAG instances and their cancellation, and calls the
+//!   frontend's hooks at arrivals, launches, node and DAG completions,
+//!   aborts and timeouts.
 
 // The event handlers `expect` on scheduler invariants by design (a running
 // task exists wherever a completion fires, tracked transfers resolve,
@@ -36,13 +42,13 @@ use relief_core::{
 use relief_dag::{Dag, DagTiming, DeadlineAssignment, NodeId};
 use relief_fault::{FaultPlan, Outage, OutageSchedule};
 use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
-use relief_metrics::{AppStats, FaultStats, Histogram, RunStats, ServiceStats, TrafficStats};
-use relief_service::{AdmissionState, QosClass, SelfHealConfig, ShedReason, StreamPlan};
+use relief_metrics::{AppStats, FaultStats, RunStats, TrafficStats};
+use relief_service::{Frontend, Request};
 use relief_sim::{
     AppId, ChunkLane, Dur, EventQueue, Intern, InternId, KindId, SlotAlloc, SplitMix64, StallError,
     StallKind, Time, Timeline,
 };
-use relief_trace::{EventKind, InputSource, ResourceId, ServiceClass, ShedCause, TaskRef, Tracer};
+use relief_trace::{EventKind, InputSource, ResourceId, TaskRef, Tracer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -52,28 +58,6 @@ use std::sync::Arc;
 fn tref(key: TaskKey) -> TaskRef {
     TaskRef { instance: key.instance, node: key.node }
 }
-
-/// Converts a service QoS class into the trace layer's mirror enum.
-fn sclass(q: QosClass) -> ServiceClass {
-    match q {
-        QosClass::Latency => ServiceClass::Latency,
-        QosClass::Standard => ServiceClass::Standard,
-        QosClass::BestEffort => ServiceClass::BestEffort,
-    }
-}
-
-/// Steady-state sojourn histogram layout: 50 µs bins spanning 30 ms.
-const SOJOURN_BIN_PS: u64 = 50_000_000;
-const SOJOURN_BINS: usize = 600;
-/// Steady-state node-latency histogram layout: 20 µs bins spanning 10 ms.
-const NODE_LATENCY_BIN_PS: u64 = 20_000_000;
-const NODE_LATENCY_BINS: usize = 500;
-/// Breaker time-in-open histogram layout: 250 µs bins spanning 30 ms.
-const OPEN_BIN_PS: u64 = 250_000_000;
-const OPEN_BINS: usize = 120;
-/// Retry-count histogram layout: unit bins, attempts 0..15 (overflow above).
-const RETRY_BIN: u64 = 1;
-const RETRY_BINS: usize = 16;
 
 /// Where a completed node's output currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,15 +166,9 @@ struct DagInst {
     /// launch, running compute drains without publishing, and the
     /// instance never completes.
     cancelled: bool,
-    /// Stream request index this instance serves (hedges inherit the
-    /// original's, so the hedge draw chain stays per-request).
-    req_index: u64,
-    /// 0-based delivery attempt: 0 for the original admission, +1 per
-    /// hedged relaunch.
-    attempt: u32,
-    /// The serviced request's first arrival (== `arrival` except for
-    /// hedges, whose end-to-end sojourn spans every attempt).
-    first_arrival: Time,
+    /// The streamed request this instance serves (default in closed
+    /// loop).
+    req: Request,
     /// Monotonic admission serial — the *public* instance identity.
     /// Every [`TaskKey`], trace event, fault-plan draw, and statistic
     /// uses the serial, so recycling the storage slot underneath is
@@ -212,36 +190,6 @@ struct DagInst {
     /// Slot released back to the allocator; the struct contents are a
     /// husk awaiting overwrite by the next admission.
     retired: bool,
-}
-
-/// Circuit-breaker phase (closed → open → half-open → closed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerPhase {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-/// One tenant's circuit breaker (`relief-service` self-healing). Every
-/// transition happens lazily at an arrival or request-outcome event, so
-/// the breaker schedules no events of its own and stays bit-inert when
-/// its knobs are off.
-#[derive(Debug, Clone, Copy)]
-struct Breaker {
-    phase: BreakerPhase,
-    /// Consecutive request failures while closed.
-    failures: u32,
-    /// Consecutive probe successes while half-open.
-    successes: u32,
-    /// When the breaker last entered `Open`; carried through half-open so
-    /// the close event reports the full open duration.
-    opened_at: Time,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker { phase: BreakerPhase::Closed, failures: 0, successes: 0, opened_at: Time::ZERO }
-    }
 }
 
 /// One output scratchpad partition (Table IV's `acc_state` entries).
@@ -487,23 +435,11 @@ pub struct SocSim {
     /// live DAG work, the signal that outage re-arming may continue
     /// without keeping a drained simulation alive forever.
     pending_arrivals: usize,
-    // --- open-loop streaming (`relief-service`) ---
-    /// Stateless arrival plan; a pure function of `cfg.stream`, so arrival
-    /// schedules are identical at any campaign parallelism.
-    stream: StreamPlan,
-    /// Cached `stream.enabled()`: the hot handlers branch on this.
-    stream_on: bool,
-    /// Token buckets + in-flight cap; evolves in event order within the run.
-    admission: AdmissionState,
-    service_stats: ServiceStats,
-    /// Next request index per tenant (tenant `t` streams app spec `t`).
-    stream_next_index: Vec<u64>,
-    /// Cached per-tenant QoS class.
-    tenant_class: Vec<QosClass>,
-    /// Cached self-healing knobs (`cfg.stream.self_heal`).
-    heal: SelfHealConfig,
-    /// Per-tenant circuit breakers; empty when the breaker is off.
-    breakers: Vec<Breaker>,
+    /// The open-loop request frontend (`relief-service`): admission,
+    /// breakers, timeouts, hedges and service statistics. Present only
+    /// when `cfg.stream` is enabled; tenant `t` streams app spec `t`.
+    /// Boxed so its bulky state stays out of the SoC's hot field layout.
+    frontend: Option<Box<Frontend>>,
     /// Whether anything in this run can cancel an in-flight transfer
     /// (ECC invalidation or request timeouts); gates the per-chunk
     /// liveness check off the fault-free hot path.
@@ -595,10 +531,9 @@ impl SocSim {
         // fixed arrival. Open loop (`relief-service`): each tenant's first
         // generated arrival inside the duration horizon; subsequent
         // arrivals are armed one at a time as their predecessors fire.
-        let stream = StreamPlan::new(cfg.stream.clone());
-        let stream_on = stream.enabled();
+        let frontend = cfg.stream.enabled().then(|| Box::new(Frontend::new(cfg.stream.clone())));
         let mut pending_arrivals = 0usize;
-        if stream_on {
+        if let Some(fe) = &frontend {
             assert_eq!(
                 cfg.stream.tenants.len(),
                 apps.len(),
@@ -609,11 +544,9 @@ impl SocSim {
                 "stream mode replaces closed-loop repetition; use arrival rates instead"
             );
             for t in 0..apps.len() {
-                if let Some(gap) = stream.gap_ps(t as u32, 0, 0) {
-                    if gap <= cfg.stream.duration_ps {
-                        events.push(Time::from_ps(gap), Ev::StreamArrival(t));
-                        pending_arrivals += 1;
-                    }
+                if let Some(at) = fe.next_arrival(t, 0, Time::ZERO) {
+                    events.push(at, Ev::StreamArrival(t));
+                    pending_arrivals += 1;
                 }
             }
         } else {
@@ -622,29 +555,6 @@ impl SocSim {
                 pending_arrivals += 1;
             }
         }
-        let mut service_stats = ServiceStats::default();
-        let heal = cfg.stream.self_heal.clone();
-        if stream_on {
-            service_stats.warmup_ps = cfg.stream.warmup_ps;
-            service_stats.duration_ps = cfg.stream.duration_ps;
-            for c in &mut service_stats.classes {
-                c.sojourn = Histogram::new(SOJOURN_BIN_PS, SOJOURN_BINS);
-                c.node_latency = Histogram::new(NODE_LATENCY_BIN_PS, NODE_LATENCY_BINS);
-            }
-            // The self-heal histograms exist only when the knobs are on,
-            // so a knobs-off run's stats stay `Default`-equal bit for bit.
-            if heal.enabled() {
-                service_stats.retry_hist = Histogram::new(RETRY_BIN, RETRY_BINS);
-                service_stats.open_hist = Histogram::new(OPEN_BIN_PS, OPEN_BINS);
-            }
-        }
-        let breakers = if stream_on && heal.breaker_enabled() {
-            vec![Breaker::new(); apps.len()]
-        } else {
-            Vec::new()
-        };
-        let admission = AdmissionState::new(&cfg.stream);
-        let tenant_class: Vec<QosClass> = cfg.stream.tenants.iter().map(|t| t.qos).collect();
         let mut app_syms: Intern<AppId> = Intern::new();
         let app_ids: Vec<AppId> = apps.iter().map(|a| app_syms.intern(&a.symbol)).collect();
         // Arm the first deterministic outage window of every instance.
@@ -703,15 +613,8 @@ impl SocSim {
             outage_iters,
             next_outage,
             pending_arrivals,
-            stream,
-            stream_on,
-            admission,
-            service_stats,
-            stream_next_index: vec![0; n_apps],
-            tenant_class,
-            cancels_on: fault_on || (stream_on && heal.enabled()),
-            heal,
-            breakers,
+            cancels_on: fault_on || (frontend.is_some() && cfg.stream.self_heal.enabled()),
+            frontend,
             refetches: Vec::new(),
             free_refetches: Vec::new(),
             app_deadlines: vec![None; n_apps],
@@ -789,6 +692,9 @@ impl SocSim {
         self.engine.set_tracer(self.tracer.clone());
         self.policy.set_tracer(self.tracer.clone());
         self.manager.set_tracer(self.tracer.clone(), ResourceId::Manager);
+        if let Some(fe) = &mut self.frontend {
+            fe.set_tracer(self.tracer.clone());
+        }
     }
 
     /// Runs the simulation to completion (all work drained, or the
@@ -927,107 +833,35 @@ impl SocSim {
     // ------------------------------------------------------------------
 
     fn on_arrival(&mut self, app_idx: usize) {
-        // Every queued Arrival incremented the count; a miscount is a
-        // bookkeeping bug that would silently mis-drive the outage
-        // re-arming and drain decisions, so fail loudly instead of
-        // saturating over it.
-        debug_assert!(self.pending_arrivals > 0, "arrival fired without a pending count");
-        self.pending_arrivals =
-            self.pending_arrivals.checked_sub(1).expect("arrival fired without a pending count");
+        self.arrival_fired();
         self.admit_dag(app_idx);
     }
 
-    /// An open-loop tenant's request arrived: account it, arm the
-    /// tenant's next arrival (if it lands inside the duration horizon),
-    /// and run admission control — an admitted request releases a DAG
-    /// instance exactly like a closed-loop arrival, a shed request leaves
-    /// no trace in the simulation proper.
-    fn on_stream_arrival(&mut self, tenant: usize) {
+    /// Retires one queued arrival from the pending count. Every queued
+    /// arrival incremented it; a miscount is a bookkeeping bug that would
+    /// silently mis-drive the outage re-arming and drain decisions, so
+    /// fail loudly instead of saturating over it.
+    fn arrival_fired(&mut self) {
         debug_assert!(self.pending_arrivals > 0, "arrival fired without a pending count");
         self.pending_arrivals =
             self.pending_arrivals.checked_sub(1).expect("arrival fired without a pending count");
-        let index = self.stream_next_index[tenant];
-        self.stream_next_index[tenant] = index + 1;
-        let class = self.tenant_class[tenant];
-        self.service_stats.classes[class.index()].arrivals += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::StreamArrival {
-            tenant: tenant as u32,
-            index,
-            class: sclass(class),
-        });
-        // Arm the tenant's next arrival. `now` is arrival `index`'s exact
-        // time, so the gap draw stays a pure function of the identity.
-        if let Some(gap) = self.stream.gap_ps(tenant as u32, index + 1, self.now.as_ps()) {
-            let at = self.now.as_ps().saturating_add(gap);
-            if at <= self.stream.cfg().duration_ps {
-                self.pending_arrivals += 1;
-                self.events.push(Time::from_ps(at), Ev::StreamArrival(tenant));
-            }
+    }
+
+    /// An open-loop tenant's request arrived: the frontend accounts it,
+    /// names the tenant's next arrival (armed here if it lands inside the
+    /// duration horizon), and decides admission. An admitted request
+    /// releases a DAG instance exactly like a closed-loop arrival; a shed
+    /// request leaves no trace in the simulation proper.
+    fn on_stream_arrival(&mut self, tenant: usize) {
+        self.arrival_fired();
+        let fe = self.frontend.as_mut().expect("stream arrivals need a frontend");
+        let (next, admitted) = fe.arrive(self.now, tenant);
+        if let Some(at) = next {
+            self.pending_arrivals += 1;
+            self.events.push(at, Ev::StreamArrival(tenant));
         }
-        // Circuit breaker (self-healing): a tenant whose requests keep
-        // failing is cut off before the token bucket ever sees it. Open
-        // sheds outright; past the open window the breaker half-opens and
-        // admits a seeded fraction of arrivals as probes.
-        if !self.breakers.is_empty() {
-            let mut b = self.breakers[tenant];
-            let through = match b.phase {
-                BreakerPhase::Closed => true,
-                BreakerPhase::Open
-                    if self.now.saturating_since(b.opened_at)
-                        >= Dur::from_ps(self.heal.breaker_open_ps) =>
-                {
-                    b.phase = BreakerPhase::HalfOpen;
-                    b.successes = 0;
-                    self.tracer.emit(self.now.as_ps(), || EventKind::BreakerHalfOpen {
-                        tenant: tenant as u32,
-                    });
-                    self.stream.probe_admit(tenant as u32, index)
-                }
-                BreakerPhase::Open => false,
-                BreakerPhase::HalfOpen => self.stream.probe_admit(tenant as u32, index),
-            };
-            self.breakers[tenant] = b;
-            if !through {
-                self.service_stats.classes[class.index()].shed_breaker += 1;
-                self.tracer.emit(self.now.as_ps(), || EventKind::RequestShed {
-                    tenant: tenant as u32,
-                    index,
-                    class: sclass(class),
-                    cause: ShedCause::Breaker,
-                });
-                return;
-            }
-        }
-        match self.admission.try_admit(self.now.as_ps(), tenant, class) {
-            Ok(()) => {
-                self.service_stats.classes[class.index()].admitted += 1;
-                let (instance, slot) = self.admit_dag(tenant);
-                self.arm_request(instance, slot, index, 0, self.now);
-                self.tracer.emit(self.now.as_ps(), || EventKind::RequestAdmitted {
-                    tenant: tenant as u32,
-                    index,
-                    instance,
-                });
-            }
-            Err(reason) => {
-                let c = &mut self.service_stats.classes[class.index()];
-                let cause = match reason {
-                    ShedReason::Bucket => {
-                        c.shed_bucket += 1;
-                        ShedCause::Bucket
-                    }
-                    ShedReason::Capacity => {
-                        c.shed_capacity += 1;
-                        ShedCause::Capacity
-                    }
-                };
-                self.tracer.emit(self.now.as_ps(), || EventKind::RequestShed {
-                    tenant: tenant as u32,
-                    index,
-                    class: sclass(class),
-                    cause,
-                });
-            }
+        if let Some(req) = admitted {
+            self.launch_request(tenant, req);
         }
     }
 
@@ -1106,9 +940,7 @@ impl SocSim {
             faults: 0,
             aborted: false,
             cancelled: false,
-            req_index: 0,
-            attempt: 0,
-            first_arrival: self.now,
+            req: Request::default(),
             serial: instance,
             gen,
             pins: 0,
@@ -1205,67 +1037,35 @@ impl SocSim {
     // Request self-healing (relief-service)
     // ------------------------------------------------------------------
 
-    /// Stamps a freshly admitted streamed instance with its request
-    /// identity and arms its deadline-derived timeout when the
-    /// self-healing timeouts are on.
-    fn arm_request(&mut self, instance: u32, slot: u32, index: u64, attempt: u32, first_arrival: Time) {
-        let rel = {
-            let d = &mut self.dags[slot as usize];
-            d.req_index = index;
-            d.attempt = attempt;
-            d.first_arrival = first_arrival;
-            d.dag.relative_deadline()
-        };
-        if self.heal.timeouts_enabled() {
-            let timeout = Dur::from_ps((rel.as_ps() as f64 * self.heal.timeout_factor) as u64);
-            self.events.push(self.now + timeout, Ev::Timeout { slot, serial: instance });
+    /// Releases an instance for an admitted (or hedged) request, stamps
+    /// it with the request, and arms the timeout the frontend asks for.
+    fn launch_request(&mut self, tenant: usize, req: Request) {
+        let (instance, slot) = self.admit_dag(tenant);
+        let d = &mut self.dags[slot as usize];
+        d.req = req;
+        let deadline = d.dag.relative_deadline();
+        let fe = self.frontend.as_mut().expect("requests need a frontend");
+        if let Some(after) = fe.launched(self.now, tenant, instance, req, deadline) {
+            self.events.push(self.now + after, Ev::Timeout { slot, serial: instance });
         }
     }
 
     /// A streamed request's timeout expired. If the instance is still in
     /// flight it is past the point of meeting its budget: cancel it,
-    /// reclaim queue slots and units, and — within the class hedge budget
-    /// and a seeded draw — relaunch the request as a fresh instance.
+    /// reclaim queue slots and units, and relaunch the hedge the frontend
+    /// decides on, if any.
     fn on_timeout(&mut self, slot: u32, serial: u32) {
-        let instance = serial;
-        let (tenant, req_index, attempt, first_arrival) = {
-            let d = &self.dags[slot as usize];
-            if d.retired || d.serial != serial {
-                return; // the slot was recycled; the request resolved long ago
-            }
-            if d.remaining == 0 || d.aborted || d.cancelled {
-                return; // resolved before the timeout fired
-            }
-            (d.app_idx, d.req_index, d.attempt, d.first_arrival)
-        };
-        let class = self.tenant_class[tenant];
-        self.cancel_instance(slot);
-        self.service_stats.classes[class.index()].timed_out += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::RequestTimedOut {
-            tenant: tenant as u32,
-            instance,
-            class: sclass(class),
-            attempt,
-        });
-        self.admission.release();
-        self.breaker_outcome(tenant, false);
-        // The hedge bypasses the token bucket — the original admission
-        // paid the token — but still respects the class capacity share,
-        // and its deadline restarts at the relaunch while its sojourn
-        // stays anchored to the first arrival.
-        let next = attempt + 1;
-        if next <= self.heal.hedge_budget[class.index()]
-            && self.stream.hedge_launch(tenant as u32, req_index, attempt)
-            && self.admission.try_occupy(class)
-        {
-            self.service_stats.classes[class.index()].hedged += 1;
-            let (hedge, hedge_slot) = self.admit_dag(tenant);
-            self.arm_request(hedge, hedge_slot, req_index, next, first_arrival);
-            self.tracer.emit(self.now.as_ps(), || EventKind::HedgeLaunched {
-                tenant: tenant as u32,
-                instance: hedge,
-                attempt: next,
-            });
+        let d = &self.dags[slot as usize];
+        // Stale: the slot was recycled, or the request resolved before
+        // the timeout fired.
+        if d.retired || d.serial != serial || d.remaining == 0 || d.aborted || d.cancelled {
+            return;
+        }
+        let (tenant, req) = (d.app_idx, d.req);
+        let cancelled = self.cancel_instance(slot);
+        let fe = self.frontend.as_mut().expect("timeouts need a frontend");
+        if let Some(hedge) = fe.timed_out(self.now, tenant, serial, req, cancelled) {
+            self.launch_request(tenant, hedge);
         }
         // Freed queue slots, partitions, and units may unblock live work.
         self.retry_stalled();
@@ -1275,8 +1075,8 @@ impl SocSim {
     /// Tombstones a DAG instance: cancels its in-flight input transfers,
     /// releases accelerators holding its unstarted work, and marks it so
     /// queued entries are dropped at launch and running compute drains
-    /// without publishing.
-    fn cancel_instance(&mut self, slot: u32) {
+    /// without publishing. Returns the number of cancelled transfers.
+    fn cancel_instance(&mut self, slot: u32) -> u64 {
         self.dags[slot as usize].cancelled = true;
         // The caller checked the instance was live (neither completed nor
         // aborted nor already cancelled), so it was counting here.
@@ -1285,6 +1085,7 @@ impl SocSim {
         // and an abandoned `WbInFlight` would wedge its partition forever.
         // Pin releases below defer retirement to the end of the function:
         // the instance must stay resident while this loop still reads it.
+        let mut cancelled = 0;
         for t in 0..self.transfers.len() {
             let Some(purpose) = self.transfers[t] else { continue };
             let (src_spad, pslot) = match purpose {
@@ -1297,7 +1098,7 @@ impl SocSim {
             }
             let id = self.transfer_ids[t].expect("tracked transfer has an id");
             self.engine.cancel(id, self.now);
-            self.service_stats.timeout_cancelled_xfers += 1;
+            cancelled += 1;
             self.transfers[t] = None;
             self.dags[slot as usize].pins -= 1;
             if let Some((si, sp)) = src_spad {
@@ -1326,57 +1127,7 @@ impl SocSim {
             }
         }
         self.maybe_retire(slot);
-    }
-
-    /// Feeds one request outcome of `tenant` into its circuit breaker.
-    /// Outcomes of requests admitted before an open neither close nor
-    /// re-open it; the half-open transition happens lazily at arrivals.
-    fn breaker_outcome(&mut self, tenant: usize, success: bool) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        let mut b = self.breakers[tenant];
-        match (b.phase, success) {
-            (BreakerPhase::Closed, true) => b.failures = 0,
-            (BreakerPhase::Closed, false) => {
-                b.failures += 1;
-                if b.failures >= self.heal.breaker_failures {
-                    b.phase = BreakerPhase::Open;
-                    b.opened_at = self.now;
-                    let failures = b.failures;
-                    self.tracer.emit(self.now.as_ps(), || EventKind::BreakerOpened {
-                        tenant: tenant as u32,
-                        failures,
-                    });
-                }
-            }
-            (BreakerPhase::HalfOpen, true) => {
-                b.successes += 1;
-                if b.successes >= self.heal.probes_to_close {
-                    b.phase = BreakerPhase::Closed;
-                    b.failures = 0;
-                    let open_ps = self.now.saturating_since(b.opened_at).as_ps();
-                    self.service_stats.open_hist.record(open_ps);
-                    self.tracer.emit(self.now.as_ps(), || EventKind::BreakerClosed {
-                        tenant: tenant as u32,
-                        open_ps,
-                    });
-                }
-            }
-            (BreakerPhase::HalfOpen, false) => {
-                // A failed probe re-opens immediately: the failure count
-                // reported is the probe itself.
-                b.phase = BreakerPhase::Open;
-                b.opened_at = self.now;
-                b.failures = 0;
-                self.tracer.emit(self.now.as_ps(), || EventKind::BreakerOpened {
-                    tenant: tenant as u32,
-                    failures: 1,
-                });
-            }
-            (BreakerPhase::Open, _) => {}
-        }
-        self.breakers[tenant] = b;
+        cancelled
     }
 
     // ------------------------------------------------------------------
@@ -2020,15 +1771,8 @@ impl SocSim {
                 stats.node_deadlines_met += 1;
             }
         }
-        // Steady-state per-class node accounting (service mode): samples
-        // before the warm-up cutoff are cold-start transient and excluded.
-        if self.stream_on && self.now.as_ps() >= self.service_stats.warmup_ps {
-            let c = &mut self.service_stats.classes[self.tenant_class[app_idx].index()];
-            c.nodes_measured += 1;
-            if self.now <= node_deadline {
-                c.node_deadlines_met += 1;
-            }
-            c.node_latency.record(self.now.saturating_since(dag_arrival).as_ps());
+        if let Some(fe) = &mut self.frontend {
+            fe.node_done(self.now, app_idx, node_deadline, dag_arrival);
         }
         {
             // Table VIII sign convention: (actual − predicted) / predicted,
@@ -2165,36 +1909,8 @@ impl SocSim {
         if !self.cfg.bounded_memory {
             stats.dag_runtimes.push(runtime);
         }
-        if self.stream_on {
-            // The request's in-flight slot frees; its end-to-end sojourn
-            // feeds the steady-state (post-warm-up) histogram. The sojourn
-            // is anchored to the request's *first* arrival, so a hedged
-            // completion reports the time the client actually waited
-            // (identical to `runtime` when hedging is off).
-            self.admission.release();
-            let sojourn =
-                self.now.saturating_since(self.dags[slot as usize].first_arrival);
-            let class = self.tenant_class[app_idx];
-            let c = &mut self.service_stats.classes[class.index()];
-            c.completed += 1;
-            if met {
-                c.dag_deadlines_met += 1;
-            }
-            if self.now.as_ps() >= self.service_stats.warmup_ps {
-                self.service_stats.classes[class.index()].sojourn.record(sojourn.as_ps());
-            }
-            if self.heal.enabled() {
-                let attempt = self.dags[slot as usize].attempt;
-                self.service_stats.retry_hist.record(u64::from(attempt));
-                self.breaker_outcome(app_idx, true);
-            }
-            self.tracer.emit(self.now.as_ps(), || EventKind::RequestCompleted {
-                tenant: app_idx as u32,
-                instance,
-                class: sclass(class),
-                sojourn_ps: sojourn.as_ps(),
-                met,
-            });
+        if let Some(fe) = &mut self.frontend {
+            fe.completed(self.now, app_idx, instance, self.dags[slot as usize].req, met);
         }
         if self.apps[app_idx].repeat {
             self.pending_arrivals += 1;
@@ -2257,14 +1973,10 @@ impl SocSim {
             let was_aborted = std::mem::replace(&mut self.dags[slot as usize].aborted, true);
             if !was_aborted {
                 self.active_work -= 1;
-                if self.stream_on {
-                    // The instance will never complete; free its in-flight
-                    // slot exactly once (later sibling aborts must not
-                    // double-release). An aborted request is a failure the
-                    // tenant's circuit breaker must see.
-                    self.admission.release();
-                    let tenant = self.dags[slot as usize].app_idx;
-                    self.breaker_outcome(tenant, false);
+                // Only the first abort reports: later sibling aborts must
+                // not release the request's in-flight slot again.
+                if let Some(fe) = &mut self.frontend {
+                    fe.aborted(self.now, self.dags[slot as usize].app_idx);
                 }
             }
             self.tracer.emit(self.now.as_ps(), || EventKind::TaskAborted {
@@ -2820,7 +2532,7 @@ impl SocSim {
             scheduler_time: self.sched_time,
             edges_total,
             faults: self.fault_stats,
-            service: std::mem::take(&mut self.service_stats),
+            service: self.frontend.take().map(|fe| fe.into_stats()).unwrap_or_default(),
         };
         let trace = match &self.span_sink {
             Some(sink) => Trace { spans: sink.borrow_mut().take_spans() },

@@ -6,7 +6,8 @@
 //! inspection in Perfetto or via `trace-diff`.
 
 use relief_accel::SocConfig;
-use relief_bench::experiments::fig2_workload;
+use relief_bench::campaign::Ctx;
+use relief_bench::experiments::{fig2_with, fig2_workload};
 use relief_bench::traceio;
 use relief_core::PolicyKind;
 use std::process::ExitCode;
@@ -24,7 +25,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    print!("{}", relief_bench::experiments::fig2());
+    print!("{}", fig2_with(&Ctx::empty()));
 
     if let Some(stem) = stem {
         for policy in [PolicyKind::Fcfs, PolicyKind::Relief] {

@@ -1,14 +1,13 @@
-//! One function per paper artifact. Each returns the rendered text the
-//! corresponding `src/bin/` binary prints (and `all_experiments` chains).
+//! One function per paper artifact. Each returns the rendered text
+//! `all_experiments` prints (in full, or one artifact at a time with
+//! `--only <name>`).
 //!
-//! Every artifact exists in two forms: a `*_with(&Ctx)` variant that
-//! answers each simulation from a campaign-prewarmed [`Ctx`] (falling
-//! back to inline execution on cache misses, with byte-identical
-//! output), and a zero-argument wrapper preserving the original
-//! signature for the standalone per-figure binaries. The [`grid`]
-//! module is the single source of truth for the canonical [`RunSpec`]s
-//! both sides use, so a cache hit and an inline run are always the same
-//! simulation.
+//! Every grid artifact is a `*_with(&Ctx)` function that answers each
+//! simulation from a campaign-prewarmed [`Ctx`], falling back to inline
+//! execution on cache misses with byte-identical output (so
+//! `Ctx::empty()` renders without any prewarm). The [`grid`] module is
+//! the single source of truth for the canonical [`RunSpec`]s both paths
+//! use, so a cache hit and an inline run are always the same simulation.
 
 use crate::campaign::Ctx;
 use crate::{PolicySweep, FAIRNESS_POLICIES, MAIN_POLICIES};
@@ -207,11 +206,6 @@ pub fn table2_with(ctx: &Ctx) -> String {
     format!("[Table II] compute vs data movement, modeled vs paper\n{}", t.render())
 }
 
-/// Zero-argument [`table2_with`] for the standalone binary.
-pub fn table2() -> String {
-    table2_with(&Ctx::empty())
-}
-
 /// The Figure 2 pedagogical scenario, reconstructed (the figure text in
 /// the source is garbled, so the DAGs are rebuilt to exhibit the same
 /// dynamics): three DAGs with an identical A→A→B→B chain and a *common*
@@ -273,21 +267,11 @@ pub fn fig2_with(ctx: &Ctx) -> String {
     )
 }
 
-/// Zero-argument [`fig2_with`] for the standalone binary.
-pub fn fig2() -> String {
-    fig2_with(&Ctx::empty())
-}
-
 /// Figs. 4a–d: percent of edges satisfied by forwards + colocations.
 pub fn fig4_with(ctx: &Ctx) -> String {
     sweep_all_contention(ctx, "Fig. 4", "forwards+colocations / edges (%)", 1, |r| {
         r.stats.forward_percent()
     })
-}
-
-/// Zero-argument [`fig4_with`] for the standalone binary.
-pub fn fig4() -> String {
-    fig4_with(&Ctx::empty())
 }
 
 /// Figs. 5a–d: data movement reaching DRAM as a percent of the all-DRAM
@@ -309,11 +293,6 @@ pub fn fig5_with(ctx: &Ctx) -> String {
         );
     }
     out
-}
-
-/// Zero-argument [`fig5_with`] for the standalone binary.
-pub fn fig5() -> String {
-    fig5_with(&Ctx::empty())
 }
 
 /// Fig. 6: main-memory and scratchpad energy under high contention,
@@ -355,21 +334,11 @@ pub fn fig6_with(ctx: &Ctx) -> String {
     )
 }
 
-/// Zero-argument [`fig6_with`] for the standalone binary.
-pub fn fig6() -> String {
-    fig6_with(&Ctx::empty())
-}
-
 /// Figs. 7a–d: accelerator occupancy.
 pub fn fig7_with(ctx: &Ctx) -> String {
     sweep_all_contention(ctx, "Fig. 7", "accelerator occupancy", 3, |r| {
         r.stats.accel_occupancy()
     })
-}
-
-/// Zero-argument [`fig7_with`] for the standalone binary.
-pub fn fig7() -> String {
-    fig7_with(&Ctx::empty())
 }
 
 /// Figs. 8a–d: percent of node deadlines met.
@@ -379,30 +348,15 @@ pub fn fig8_with(ctx: &Ctx) -> String {
     })
 }
 
-/// Zero-argument [`fig8_with`] for the standalone binary.
-pub fn fig8() -> String {
-    fig8_with(&Ctx::empty())
-}
-
 /// Fig. 9: per-application slowdown and DAG deadlines met under high
 /// contention, eight policies.
 pub fn fig9_with(ctx: &Ctx) -> String {
     fairness(ctx, Contention::High, "Fig. 9")
 }
 
-/// Zero-argument [`fig9_with`] for the standalone binary.
-pub fn fig9() -> String {
-    fig9_with(&Ctx::empty())
-}
-
 /// Fig. 10: the same under continuous contention (`inf` = starved).
 pub fn fig10_with(ctx: &Ctx) -> String {
     fairness(ctx, Contention::Continuous, "Fig. 10")
-}
-
-/// Zero-argument [`fig10_with`] for the standalone binary.
-pub fn fig10() -> String {
-    fig10_with(&Ctx::empty())
 }
 
 fn fairness(ctx: &Ctx, contention: Contention, name: &str) -> String {
@@ -479,11 +433,6 @@ pub fn table7_with(ctx: &Ctx) -> String {
         let _ = writeln!(out, "[Table VII — mix {}]\n{}", mix.label(), t.render());
     }
     out
-}
-
-/// Zero-argument [`table7_with`] for the standalone binary.
-pub fn table7() -> String {
-    table7_with(&Ctx::empty())
 }
 
 /// Runs RELIEF on one high-contention mix with the given predictors.
@@ -566,11 +515,6 @@ pub fn table8_with(ctx: &Ctx) -> String {
     )
 }
 
-/// Zero-argument [`table8_with`] for the standalone binary.
-pub fn table8() -> String {
-    table8_with(&Ctx::empty())
-}
-
 /// Fig. 11: node deadlines met with predictive BW / DM predictors,
 /// normalized to the Max predictors.
 pub fn fig11_with(ctx: &Ctx) -> String {
@@ -604,11 +548,6 @@ pub fn fig11_with(ctx: &Ctx) -> String {
         "[Fig. 11] node deadlines met with dynamic predictors, normalized to Max predictors\n{}",
         t.render()
     )
-}
-
-/// Zero-argument [`fig11_with`] for the standalone binary.
-pub fn fig11() -> String {
-    fig11_with(&Ctx::empty())
 }
 
 /// Fig. 12: average and tail latency of one ready-queue insertion per
@@ -726,11 +665,6 @@ pub fn fig13_with(ctx: &Ctx) -> String {
     format!("[Fig. 13] interconnect sensitivity under high contention\n{}", t.render())
 }
 
-/// Zero-argument [`fig13_with`] for the standalone binary.
-pub fn fig13() -> String {
-    fig13_with(&Ctx::empty())
-}
-
 fn sweep_all_contention(
     ctx: &Ctx,
     name: &str,
@@ -750,17 +684,12 @@ fn sweep_all_contention(
     out
 }
 
-/// Colocation-only percentage sweep, printed alongside Fig. 4 by its
-/// binary (the figure stacks COL under FWD).
+/// Colocation-only percentage sweep, printed right after Fig. 4 (the
+/// figure stacks COL under FWD).
 pub fn fig4_colocations_with(ctx: &Ctx) -> String {
     sweep_all_contention(ctx, "Fig. 4 (colocations only)", "colocations / edges (%)", 1, |r| {
         r.stats.colocation_percent()
     })
-}
-
-/// Zero-argument [`fig4_colocations_with`] for the standalone binary.
-pub fn fig4_colocations() -> String {
-    fig4_colocations_with(&Ctx::empty())
 }
 
 #[cfg(test)]
@@ -782,7 +711,7 @@ mod tests {
 
     #[test]
     fn fig2_report_contains_schedules_and_all_policies() {
-        let out = fig2();
+        let out = fig2_with(&Ctx::empty());
         for p in FAIRNESS_POLICIES {
             assert!(out.contains(p.name()), "missing {p}");
         }
@@ -792,7 +721,7 @@ mod tests {
 
     #[test]
     fn table2_reports_all_five_apps() {
-        let out = table2();
+        let out = table2_with(&Ctx::empty());
         for app in relief_workloads::App::ALL {
             assert!(out.contains(app.name()), "missing {app}");
         }

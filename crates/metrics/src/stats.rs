@@ -261,8 +261,8 @@ pub struct ServiceStats {
     /// a `DmaCancelled` trace record). Zero unless self-healing is
     /// enabled.
     pub timeout_cancelled_xfers: u64,
-    /// Attempts consumed per completed request (1 = no hedge), recorded
-    /// at completion. Empty unless self-healing is enabled.
+    /// 0-based attempt that completed each request (0 = no hedge),
+    /// recorded at completion. Empty unless self-healing is enabled.
     pub retry_hist: Histogram,
     /// Time each circuit breaker spent not-closed, recorded when it
     /// closes again. Empty unless self-healing is enabled.

@@ -9,6 +9,9 @@
 //! metrics layer in `relief-metrics` reports tail latency and goodput
 //! under sustained load.
 //!
+//! [`Frontend`] is what the simulator talks to: it owns the arrival plan,
+//! admission, breakers, timeouts, hedges and the per-class statistics.
+//!
 //! The determinism contract extends `relief-fault`'s: arrivals must be a
 //! pure function of the configuration, identical at any campaign
 //! parallelism and independent of event-loop interleaving. A mutable RNG
@@ -28,6 +31,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
+mod frontend;
+
+pub use frontend::{Frontend, Request};
 
 use relief_sim::SplitMix64;
 use std::fmt;
@@ -253,8 +260,10 @@ impl AdmissionConfig {
 /// campaigns stay byte-identical at any `--jobs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfHealConfig {
-    /// Consecutive request failures (deadline miss, timeout, or abort)
-    /// that trip a tenant's breaker open. `0` disables the breaker.
+    /// Consecutive request failures that trip a tenant's breaker open.
+    /// Timeouts and aborts are failures; every completion, whether it met
+    /// its deadline or missed it, is a success and resets the count. `0`
+    /// disables the breaker.
     pub breaker_failures: u32,
     /// How long an open breaker sheds everything before entering
     /// half-open, picoseconds.
@@ -549,12 +558,6 @@ impl StreamPlan {
         &self.cfg
     }
 
-    /// True when any tenant generates arrivals.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
     /// The per-identity stateless draw stream: a [`SplitMix64`] seeded by
     /// FNV-1a over `(seed, domain, tenant, index)`.
     fn draw(&self, domain: u8, tenant: u32, index: u64) -> SplitMix64 {
@@ -758,11 +761,8 @@ impl AdmissionState {
         tenant: usize,
         class: QosClass,
     ) -> Result<(), ShedReason> {
-        if self.cfg.max_in_flight > 0 {
-            let share = (f64::from(self.cfg.max_in_flight) * class.capacity_share()) as u32;
-            if self.in_flight >= share.max(1) {
-                return Err(ShedReason::Capacity);
-            }
+        if self.share_full(class) {
+            return Err(ShedReason::Capacity);
         }
         if self.cfg.bucket_rate_per_s > 0.0 {
             if let Some(b) = self.buckets.get_mut(tenant) {
@@ -785,14 +785,15 @@ impl AdmissionState {
     /// token on first admission, so only the class capacity share gates
     /// it. Returns `false` (claiming nothing) when the share is full.
     pub fn try_occupy(&mut self, class: QosClass) -> bool {
-        if self.cfg.max_in_flight > 0 {
-            let share = (f64::from(self.cfg.max_in_flight) * class.capacity_share()) as u32;
-            if self.in_flight >= share.max(1) {
-                return false;
-            }
-        }
-        self.in_flight += 1;
-        true
+        let free = !self.share_full(class);
+        self.in_flight += u32::from(free);
+        free
+    }
+
+    /// True when `class`'s share of the in-flight cap is full.
+    fn share_full(&self, class: QosClass) -> bool {
+        let cap = self.cfg.max_in_flight;
+        cap > 0 && self.in_flight >= ((f64::from(cap) * class.capacity_share()) as u32).max(1)
     }
 
     /// Releases one in-flight slot (instance completed or aborted).

@@ -25,8 +25,10 @@
 //!    deterministic report must be byte-identical at `--jobs` 1 and 2
 //!    and whose live-slot high-water mark must stay under the
 //!    configured bound (instance recycling keeps memory O(in-flight)),
-//!    and `invariants` proves the end-of-run conservation checks also
-//!    hold in a release build via the `invariants` feature.
+//!    `invariants` proves the end-of-run conservation checks also
+//!    hold in a release build via the `invariants` feature, and
+//!    `only-smoke` renders one artifact with `all_experiments --only
+//!    table2 --no-cache` and checks that an unknown `--only` name exits 2.
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: warm reruns simulate zero cells with
@@ -126,7 +128,7 @@ const TEST_SUITES: [(&str, &str); 13] = [
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
-const META_SUITES: [&str; 8] = [
+const META_SUITES: [&str; 9] = [
     "build",
     "lint",
     "campaign-smoke",
@@ -134,6 +136,7 @@ const META_SUITES: [&str; 8] = [
     "chaos-smoke",
     "soak-smoke",
     "invariants",
+    "only-smoke",
     "bench-check",
 ];
 
@@ -303,6 +306,21 @@ fn check(args: &[String]) -> ExitCode {
                 "chaos_conformance",
             ]),
         );
+    }
+    if wants("only-smoke") {
+        let all_experiments = |only: &str| {
+            let mut cmd = Command::new("cargo");
+            cmd.args(["run", "--offline", "--release", "-q", "-p", "relief-bench"]);
+            cmd.args(["--bin", "all_experiments", "--", "--only", only, "--no-cache"]);
+            cmd
+        };
+        ok &= run("all_experiments --only table2 --no-cache", &mut all_experiments("table2"));
+        println!("==> all_experiments --only <unknown> exits 2");
+        let status = all_experiments("no-such-artifact").output().map(|o| o.status.code());
+        if !matches!(status, Ok(Some(2))) {
+            eprintln!("xtask: unknown --only name gave {status:?}, expected exit code 2");
+            ok = false;
+        }
     }
     for (package, suite) in TEST_SUITES {
         if !wants(suite) {
