@@ -81,13 +81,6 @@ pub struct SocConfig {
     pub seed: u64,
     /// Record a per-task schedule trace (see `relief_accel::trace`).
     pub record_trace: bool,
-    /// Route the simulator through the pre-optimisation hot path: linear
-    /// ready-queue scans, per-arrival deadline recomputation, and fresh
-    /// heap allocations instead of reused scratch buffers. Behaviour is
-    /// identical by construction — only the host-side cost changes — so the
-    /// wall-clock benchmark can measure the optimised and reference paths
-    /// on the same build and assert their results match.
-    pub reference_hot_path: bool,
     /// Fault-injection plan knobs (`relief-fault`). The default injects
     /// nothing and leaves every output byte-identical to a fault-free
     /// build; any enabled knob also switches the simulator into
@@ -161,7 +154,6 @@ impl SocConfig {
             compute_jitter: 0.0005,
             seed: 0x5EED,
             record_trace: false,
-            reference_hot_path: false,
             fault: FaultConfig::default(),
             stream: StreamConfig::default(),
             watchdog_window: 2_000_000,

@@ -54,9 +54,10 @@ pub struct SimResult {
     /// Events dispatched (diagnostic).
     pub events_dispatched: u64,
     /// High-water mark of concurrently live DAG-instance slots
-    /// (diagnostic). With instance recycling active this is the peak
-    /// in-flight population — the bound a soak run's memory plateaus at;
-    /// in reference mode (no recycling) it equals total admissions.
+    /// (diagnostic): the peak in-flight population — the bound a soak
+    /// run's memory plateaus at. Instance recycling keeps it below the
+    /// run's launched instances (admissions plus hedges), which a
+    /// never-retiring run would hold.
     /// Campaign-cache reads report 0 (the field is host-side, not part
     /// of the simulated outcome, and is not cached).
     pub live_high_water: u64,

@@ -172,8 +172,7 @@ struct DagInst {
     /// Monotonic admission serial — the *public* instance identity.
     /// Every [`TaskKey`], trace event, fault-plan draw, and statistic
     /// uses the serial, so recycling the storage slot underneath is
-    /// unobservable. Equal to the slot index when nothing recycles
-    /// (reference mode).
+    /// unobservable.
     serial: u32,
     /// Generation of this slot's allocation (see [`SlotAlloc`]).
     gen: u32,
@@ -288,8 +287,9 @@ impl Purpose {
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival(usize),
-    /// A transfer's in-flight chunk completed. Queued only in reference
-    /// mode; the default path keeps these in [`SocSim::chunks`].
+    /// A transfer's in-flight chunk completed. Never queued: chunk
+    /// completions wait in [`SocSim::chunks`], and the dispatch loop wraps
+    /// each one it pops from there in this variant.
     Chunk(TransferId),
     ComputeDone(usize),
     Launch,
@@ -319,7 +319,7 @@ enum Ev {
 /// Every queued event pays `Ev`'s size in near-rung memmove traffic, so
 /// fat payloads must be parked out of line (see [`Ev::EccRefetch`]).
 /// Chunk completions, the bulk of all events, travel in the chunk lane
-/// as bare `TransferId`s instead; only reference mode queues `Ev::Chunk`.
+/// as bare `TransferId`s instead.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
 /// One parked ECC re-fetch request (see [`Ev::EccRefetch`]); slots are
@@ -373,9 +373,9 @@ pub struct SocSim {
     /// Instance ids per accelerator type id.
     type_insts: Vec<Vec<usize>>,
     /// Live DAG instances, indexed by *storage slot* (not by the public
-    /// serial). With recycling on, retired instances' slots are reused by
-    /// later admissions, so the vector plateaus at the in-flight
-    /// high-water mark instead of growing with every arrival.
+    /// serial). Retired instances' slots are reused by later admissions,
+    /// so the vector plateaus at the in-flight high-water mark instead of
+    /// growing with every arrival.
     dags: Vec<DagInst>,
     /// Slot allocator for `dags`; its generation counters invalidate any
     /// reference that outlives its instance (see [`Ev::Timeout`]).
@@ -383,10 +383,6 @@ pub struct SocSim {
     /// Next admission serial (the public instance id; see
     /// [`DagInst::serial`]).
     next_dag_serial: u32,
-    /// Whether retired instances release their slot for reuse. On for
-    /// every fast-path run; reference mode keeps the pre-optimisation
-    /// ever-growing vector so slot == serial == index throughout.
-    recycle_on: bool,
     /// Per-app free lists of retired `NodeRt` vectors: a steady-state
     /// admission reuses a same-shape vector in place of allocating.
     node_pools: Vec<Vec<Vec<NodeRt>>>,
@@ -401,8 +397,7 @@ pub struct SocSim {
     retired_dm: Vec<(u32, f64)>,
     events: EventQueue<Ev>,
     /// Pending DMA chunk completions, merged into `events`' dispatch
-    /// order (see [`ChunkLane`]). Reference mode leaves it empty and
-    /// queues [`Ev::Chunk`] instead.
+    /// order (see [`ChunkLane`]).
     chunks: ChunkLane<TransferId>,
     now: Time,
     seq: u64,
@@ -525,8 +520,7 @@ impl SocSim {
                 });
             }
         }
-        let mut events =
-            if cfg.reference_hot_path { EventQueue::reference() } else { EventQueue::new() };
+        let mut events = EventQueue::new();
         // Seed the event queue with releases. Closed loop: every app's
         // fixed arrival. Open loop (`relief-service`): each tenant's first
         // generated arrival inside the duration horizon; subsequent
@@ -583,7 +577,6 @@ impl SocSim {
             })
             .collect();
         let n_apps = apps.len();
-        let recycle_on = !cfg.reference_hot_path;
         let mut sim = SocSim {
             policy: cfg.policy.build(),
             queues: ReadyQueues::new(num_types),
@@ -593,7 +586,6 @@ impl SocSim {
             dags: Vec::new(),
             dag_slots: SlotAlloc::new(),
             next_dag_serial: 0,
-            recycle_on,
             node_pools: vec![Vec::new(); n_apps],
             active_work: 0,
             retired_dm: Vec::new(),
@@ -642,10 +634,6 @@ impl SocSim {
             cfg,
             apps,
         };
-        if sim.cfg.reference_hot_path {
-            sim.queues.set_reference_linear_scans(true);
-            sim.engine.set_reference_alloc_path(true);
-        }
         if sim.cfg.fault.dram_mttf_ps > 0 {
             // Deterministic DRAM-channel blackout windows: installed before
             // any transfer begins, so the engine's gate sees the schedule
@@ -701,9 +689,8 @@ impl SocSim {
     /// configured time limit reached) and returns the collected results.
     ///
     /// One per-event loop dispatches the earlier of the event queue's
-    /// head and the chunk lane's head (see [`ChunkLane`]); reference mode
-    /// queues chunk completions as ordinary events, so the lane stays
-    /// empty there and the two paths pop the identical sequence.
+    /// head and the chunk lane's head (see [`ChunkLane`]), popping the
+    /// same `(time, seq)` sequence one queue holding both would.
     pub fn run(self) -> SimResult {
         match self.try_run() {
             Ok(result) => result,
@@ -876,12 +863,7 @@ impl SocSim {
         // predictors drive critical-path deadlines (§III-B). The assignment
         // is a pure function of the immutable DAG and the DRAM bandwidth,
         // so repeat arrivals of the same app reuse the cached result.
-        let cached = if self.cfg.reference_hot_path {
-            None
-        } else {
-            self.app_deadlines[app_idx].clone()
-        };
-        let deadlines = cached.unwrap_or_else(|| {
+        let deadlines = self.app_deadlines[app_idx].clone().unwrap_or_else(|| {
             let dram_bw = self.cfg.mem.dram_bandwidth;
             let timing = DagTiming::compute(&dag, |n| {
                 let spec = dag.node(n);
@@ -895,7 +877,7 @@ impl SocSim {
         // Boot-time profiling of compute times (§III-B): one observation
         // per (accelerator, operation) pair, so only an app's first arrival
         // can add anything.
-        if !self.app_profiled[app_idx] || self.cfg.reference_hot_path {
+        if !self.app_profiled[app_idx] {
             for spec in dag.nodes() {
                 if self.profile.predict(spec.acc, &spec.label).is_none() {
                     self.profile.observe(spec.acc, &spec.label, spec.compute);
@@ -984,14 +966,8 @@ impl SocSim {
     }
 
     /// Retires the instance in `slot` if it is settled (completed,
-    /// aborted, or cancelled) and nothing references it anymore. Pins and
-    /// holds are maintained unconditionally, but only recycling runs act
-    /// on them — reference mode keeps every instance resident so slot ==
-    /// serial == index holds throughout.
+    /// aborted, or cancelled) and nothing references it anymore.
     fn maybe_retire(&mut self, slot: u32) {
-        if !self.recycle_on {
-            return;
-        }
         let d = &self.dags[slot as usize];
         if d.retired || d.pins > 0 || d.holds > 0 {
             return;
@@ -1151,16 +1127,9 @@ impl SocSim {
         let dag = Arc::clone(&self.dags[slot as usize].dag);
         let spec = dag.node(nid);
         let acc = spec.acc;
-        let pred_compute = if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation per-entry label allocation
-            // and string-keyed profile lookup.
-            let owned = spec.label.clone();
-            self.profile.predict(acc, &owned).unwrap_or(spec.compute)
-        } else {
-            let app_idx = self.dags[slot as usize].app_idx;
-            let kind = self.app_kind_ids[app_idx][nid.index()];
-            self.profile.predict_id(acc, kind).unwrap_or(spec.compute)
-        };
+        let app_idx = self.dags[slot as usize].app_idx;
+        let kind = self.app_kind_ids[app_idx][nid.index()];
+        let pred_compute = self.profile.predict_id(acc, kind).unwrap_or(spec.compute);
         let query = self.dm_query(slot, key.node, coloc_edge);
         let pred_mem = self.mem_pred.predict(&query);
         let runtime = pred_compute + pred_mem;
@@ -1206,11 +1175,7 @@ impl SocSim {
         let deadlines = Arc::clone(&d.deadlines);
         let nid = NodeId(node);
         let spec = dag.node(nid);
-        let mut parent_edge_bytes = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.dm_bytes_scratch)
-        };
+        let mut parent_edge_bytes = std::mem::take(&mut self.dm_bytes_scratch);
         parent_edge_bytes.clear();
         parent_edge_bytes.extend(dag.parents(nid).iter().map(|&p| dag.node(p).output_bytes));
 
@@ -1255,22 +1220,15 @@ impl SocSim {
 
     /// Returns a finished query's edge-byte buffer to the scratch slot.
     fn restore_dm_bytes_buf(&mut self, query: DataMoveQuery) {
-        if !self.cfg.reference_hot_path {
-            self.dm_bytes_scratch = query.parent_edge_bytes;
-        }
+        self.dm_bytes_scratch = query.parent_edge_bytes;
     }
 
-    /// Hands out the reusable ready-batch buffer (or a fresh allocation in
-    /// reference mode). [`enqueue_batch`](Self::enqueue_batch) takes it
-    /// back.
+    /// Hands out the reusable ready-batch buffer.
+    /// [`enqueue_batch`](Self::enqueue_batch) takes it back.
     fn take_batch_buf(&mut self) -> Vec<TaskEntry> {
-        if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            let mut batch = std::mem::take(&mut self.batch_scratch);
-            batch.clear();
-            batch
-        }
+        let mut batch = std::mem::take(&mut self.batch_scratch);
+        batch.clear();
+        batch
     }
 
     /// Feeds a batch through the policy and schedules a launch pass after
@@ -1285,9 +1243,7 @@ impl SocSim {
         }
         self.refresh_idle_counts();
         self.policy.enqueue_ready(&mut self.queues, &mut batch, self.now, &self.idle_scratch);
-        if !self.cfg.reference_hot_path {
-            self.batch_scratch = batch;
-        }
+        self.batch_scratch = batch;
         self.sched_ops += inserted;
         let launch_at = if self.cfg.model_sched_overhead {
             let cost = self.cfg.sched_base_cost + self.cfg.sched_insert_cost * inserted;
@@ -1303,11 +1259,7 @@ impl SocSim {
     /// Rebuilds the per-type idle-instance counts in
     /// [`SocSim::idle_scratch`].
     fn refresh_idle_counts(&mut self) {
-        let mut idle = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.idle_scratch)
-        };
+        let mut idle = std::mem::take(&mut self.idle_scratch);
         idle.clear();
         idle.extend(self.type_insts.iter().map(|ids| {
             ids.iter()
@@ -1527,12 +1479,6 @@ impl SocSim {
         // borrow, so the loop needs no owned copy of either.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
         let nid = NodeId(key.node);
-        if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation owned copies of the node spec
-            // and parent list.
-            let _spec = dag.node(nid).clone();
-            let _parents = dag.parents(nid).to_vec();
-        }
         let coloc_part = self.insts[inst_idx].running.as_ref().expect("task assigned").coloc_part;
 
         let mut pending = 0usize;
@@ -1790,17 +1736,8 @@ impl SocSim {
         // clone detaches the child slice from `self`, so no owned copy.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
         let children = dag.children(NodeId(key.node));
-        if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation owned child list.
-            let _children = children.to_vec();
-        }
-        let mut newly_ready = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            let mut buf = std::mem::take(&mut self.ready_scratch);
-            buf.clear();
-            buf
-        };
+        let mut newly_ready = std::mem::take(&mut self.ready_scratch);
+        newly_ready.clear();
         for &c in children {
             let num_parents = dag.parents(c).len();
             let rt = &mut self.dags[slot as usize].nodes[c.index()];
@@ -1836,9 +1773,7 @@ impl SocSim {
             });
             batch.push(self.make_entry(TaskKey::new(key.instance, c.0), slot, true, coloc_edge));
         }
-        if !self.cfg.reference_hot_path {
-            self.ready_scratch = newly_ready;
-        }
+        self.ready_scratch = newly_ready;
         self.enqueue_batch(batch);
 
         // Write-back decision (§III-C.2): write back immediately unless
@@ -2114,11 +2049,7 @@ impl SocSim {
     /// Schedules the completion of a transfer's in-flight chunk at `at`.
     #[inline]
     fn push_chunk(&mut self, at: Time, id: TransferId) {
-        if self.cfg.reference_hot_path {
-            self.events.push(at, Ev::Chunk(id));
-        } else {
-            self.chunks.push(&mut self.events, at, id);
-        }
+        self.chunks.push(&mut self.events, at, id);
     }
 
     fn on_chunk(&mut self, id: TransferId) {
@@ -2369,19 +2300,10 @@ impl SocSim {
         self.mem_pred.observe_bandwidth(achieved);
     }
 
-    /// The accelerator instance running `child`. The fast path trusts the
-    /// index carried in the transfer's [`Purpose`] (tasks are
-    /// non-preemptive, so the consumer cannot migrate while its inputs are
-    /// in flight); reference mode reproduces the pre-optimisation linear
-    /// scan of the instances.
+    /// The accelerator instance running `child`: the index carried in the
+    /// transfer's [`Purpose`] (tasks are non-preemptive, so the consumer
+    /// cannot migrate while its inputs are in flight).
     fn consumer_inst(&self, child: TaskKey, carried: usize) -> usize {
-        if self.cfg.reference_hot_path {
-            return self
-                .insts
-                .iter()
-                .position(|i| i.running.as_ref().is_some_and(|r| r.key == child))
-                .expect("child is running somewhere");
-        }
         debug_assert!(
             self.insts[carried].running.as_ref().is_some_and(|r| r.key == child),
             "stale consumer instance carried in transfer purpose"

@@ -1,8 +1,8 @@
-//! Wall-clock cost of the simulation hot path, optimised vs reference.
+//! Wall-clock cost of the simulation hot path.
 //!
 //! The `walltime` family times the same pinned campaign subset that
 //! `xtask bench` uses for `BENCH_simcore.json`, but broken out per case so
-//! a regression can be localised: one line per (path, case) with ns per
+//! a regression can be localised: one line per case with ns per
 //! dispatched simulator event, then the whole-subset aggregate.
 
 use relief_bench::walltime::{pinned_subset, run_cases};
@@ -10,24 +10,21 @@ use relief_bench::walltime::{pinned_subset, run_cases};
 fn main() {
     println!("[walltime]");
     let cases = pinned_subset();
-    for reference in [false, true] {
-        let path = if reference { "ref" } else { "opt" };
-        for case in &cases {
-            let sample = run_cases(std::slice::from_ref(case), reference);
-            println!(
-                "walltime/{path}/{:<28} {:>9} events {:>10.1} ns/event",
-                format!("{}/{}", case.label, case.policy.name()),
-                sample.events,
-                sample.ns_per_event(),
-            );
-        }
-        let total = run_cases(&cases, reference);
+    for case in &cases {
+        let sample = run_cases(std::slice::from_ref(case));
         println!(
-            "walltime/{path}/{:<28} {:>9} events {:>10.1} ns/event  {:>12.0} events/s",
-            "subset",
-            total.events,
-            total.ns_per_event(),
-            total.events_per_sec(),
+            "walltime/{:<28} {:>9} events {:>10.1} ns/event",
+            format!("{}/{}", case.label, case.policy.name()),
+            sample.events,
+            sample.ns_per_event(),
         );
     }
+    let total = run_cases(&cases);
+    println!(
+        "walltime/{:<28} {:>9} events {:>10.1} ns/event  {:>12.0} events/s",
+        "subset",
+        total.events,
+        total.ns_per_event(),
+        total.events_per_sec(),
+    );
 }

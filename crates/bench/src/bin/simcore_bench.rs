@@ -14,15 +14,15 @@
 //! trajectory history under a `+service` label; `--events` times the
 //! calendar-queue cohort-pop microbench alone (no simulator handlers,
 //! see [`walltime::EVENTS_SUBSET`]) under a `+events` label. Either
-//! mode writes no
-//! `BENCH_simcore.json` and runs no regression gate: the closed-loop
-//! subset stays the committed baseline, the service entry is a second
-//! trajectory series.
+//! mode writes no `BENCH_simcore.json` and runs no regression gate: the
+//! closed-loop subset stays the committed baseline, the service entry is
+//! a second trajectory series.
 //!
 //! `--soak` runs the million-request MMPP soak ([`soak::SoakSpec`]) in
 //! bounded-memory mode: the live-slot high-water mark is hard-gated
 //! against the spec's bound, and a `<rev>+soak` trajectory entry is
-//! appended carrying the v2 optional fields (peak RSS, live high-water).
+//! appended carrying peak RSS, the live high-water mark and the
+//! calibration kernel's ms.
 //! `--soak --smoke` is the `xtask check` `soak-smoke` step: a 0.5 s
 //! soak run at `--jobs` 1 and 2 whose deterministic reports must be
 //! byte-identical, with the same live-set gate and no trajectory write.
@@ -31,16 +31,21 @@
 //! written to `target/BENCH_simcore.check.json` (unless `--out` is
 //! given), read back and schema-validated, then compared against the
 //! committed `BENCH_simcore.json` baseline — the fresh run's fastest
-//! pass, in calibrated units (optimised ns/event over the calibration
-//! kernel's ms, see [`walltime::calibration_kernel`]), must stay within
-//! `--tolerance` percent (default 10) of the committed median calibrated
-//! cost, or the gate fails printing both sides, calibrated and absolute.
-//! It then runs a reduced soak and gates its ns/event against
-//! the committed `+soak` trajectory entry at a loose 60 % tolerance
-//! (soak cost is arrival-path-dominated and noisier than the closed
-//! loop), plus the hard live-set bound. A missing baseline skips the
-//! corresponding comparison with a notice, so fresh clones and
-//! baseline-refresh commits still pass.
+//! pass, in calibrated units (ns/event over the calibration kernel's ms,
+//! see [`walltime::calibration_kernel`]), must stay within `--tolerance`
+//! percent (default 10) of the committed median calibrated cost, or the
+//! gate fails printing both sides, calibrated and absolute. It then runs
+//! a reduced soak and gates its ns/event over the kernel ms timed beside
+//! it against the newest committed `+soak` trajectory entry's ratio at a
+//! loose 60 % tolerance (soak cost is arrival-path-dominated and noisier
+//! than the closed loop), plus the hard live-set bound. A `+soak` entry
+//! without `calib_ms` fails the gate until it is re-recorded. A missing
+//! baseline skips the corresponding comparison with a notice, so fresh
+//! clones and baseline-refresh commits still pass.
+//!
+//! `--check` gates the closed-loop subset only, and the modes exclude
+//! one another: combining `--check` with a mode, or two modes, is a
+//! usage error (exit 2) rather than a silently dropped flag.
 
 use relief_bench::soak::{rss_peak_mb, SoakSpec};
 use relief_bench::walltime;
@@ -48,6 +53,10 @@ use std::process::ExitCode;
 
 /// The committed perf baseline the `--check` gate compares against.
 const BASELINE: &str = "BENCH_simcore.json";
+
+/// Calibration-kernel passes whose median pairs with a soak run, both
+/// when recording a `+soak` entry and when gating against one.
+const SOAK_KERNEL_PASSES: u32 = 5;
 
 fn main() -> ExitCode {
     let mut iters: Option<u32> = None;
@@ -96,6 +105,16 @@ fn main() -> ExitCode {
     if smoke && !soak {
         return usage("--smoke only applies to --soak");
     }
+    let modes = [(service, "--service"), (events, "--events"), (soak, "--soak")];
+    let mut chosen = modes.iter().filter(|(on, _)| *on).map(|&(_, name)| name);
+    if let Some(first) = chosen.next() {
+        if let Some(second) = chosen.next() {
+            return usage(&format!("{first} and {second} are separate modes; run one at a time"));
+        }
+        if check {
+            return usage(&format!("--check gates the closed-loop subset, not {first}"));
+        }
+    }
     if soak {
         return run_soak(smoke, jobs, &trajectory_path(&out));
     }
@@ -108,17 +127,10 @@ fn main() -> ExitCode {
 
     let report = walltime::measure(iters);
     println!(
-        "simcore bench: {} runs/iter, {} events/iter, {} iters per path",
+        "simcore bench: {} runs/iter, {} events/iter, {} iters",
         report.runs_per_iter, report.events_per_iter, report.iters
     );
-    for (name, p) in [("optimized", &report.optimized), ("reference", &report.reference)] {
-        println!(
-            "  {name:<10} {:>8.1} ns/event (min {:.1}, max {:.1})  {:>12.0} events/s",
-            p.ns_per_event.median, p.ns_per_event.min, p.ns_per_event.max,
-            p.events_per_sec.median,
-        );
-    }
-    println!("  speedup    {:.2}x (reference ns/event over optimized)", report.speedup);
+    print_path(&report.optimized);
     let c = &report.calibration;
     println!(
         "  calibrated {:>8.3} ns/event per kernel-ms (min {:.3}); kernel {:.1} ms median",
@@ -177,9 +189,10 @@ fn main() -> ExitCode {
 }
 
 /// The `--check` soak gate: a reduced soak whose live-slot high-water
-/// mark must stay under the spec's bound (hard), and whose ns/event must
-/// stay within 60 % of the committed `+soak` trajectory entry (skipped
-/// with a notice when no soak entry is committed yet).
+/// mark must stay under the spec's bound (hard), and whose ns/event over
+/// kernel ms must stay within 60 % of the newest committed `+soak`
+/// trajectory entry's (see [`walltime::soak_gate`]; skipped with a notice
+/// when no soak entry is committed yet).
 fn check_soak() -> ExitCode {
     const SOAK_TOLERANCE: f64 = 0.60;
     let spec = SoakSpec::check();
@@ -194,35 +207,29 @@ fn check_soak() -> ExitCode {
         "  soak check OK: {} arrivals, {} events, live high-water {} (bound {})",
         outcome.arrivals, outcome.events, outcome.live_high_water, spec.live_bound
     );
+    let kernel_ms = walltime::calibration_ms_median(SOAK_KERNEL_PASSES);
     let committed = std::fs::read_to_string("BENCH_trajectory.json")
         .ok()
         .as_deref()
-        .and_then(walltime::last_soak_ns);
-    match committed {
-        Some(baseline) => {
-            let fresh = outcome.ns_per_event();
-            let limit = baseline * (1.0 + SOAK_TOLERANCE);
-            if fresh.total_cmp(&limit) == std::cmp::Ordering::Greater || !fresh.is_finite() {
-                eprintln!(
-                    "simcore_bench: soak regressed: committed {baseline:.1} ns/event vs \
-                     fresh {fresh:.1}; limit {limit:.1} at {:.0}% tolerance",
-                    SOAK_TOLERANCE * 100.0
-                );
-                eprintln!(
-                    "simcore_bench: if this is an intended trade-off, refresh the +soak \
-                     entry with 'cargo run -p xtask -- bench --soak' and commit it"
-                );
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "  soak no-regression gate OK: committed {baseline:.1} ns/event vs \
-                 fresh {:.1}; limit {limit:.1}",
-                outcome.ns_per_event()
-            );
+        .and_then(walltime::last_soak);
+    let Some(committed) = committed else {
+        println!("  no committed +soak trajectory entry; skipping soak gate");
+        return ExitCode::SUCCESS;
+    };
+    match walltime::soak_gate(committed, outcome.ns_per_event(), kernel_ms, SOAK_TOLERANCE) {
+        Ok(summary) => {
+            println!("  soak no-regression gate OK: {summary}");
+            ExitCode::SUCCESS
         }
-        None => println!("  no committed +soak trajectory entry; skipping soak gate"),
+        Err(e) => {
+            eprintln!("simcore_bench: {e}");
+            eprintln!(
+                "simcore_bench: if this is an intended trade-off, refresh the +soak entry \
+                 with 'cargo run -p xtask -- bench --soak' and commit it"
+            );
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 /// The `--soak` mode: the million-request bounded-memory soak, or its
@@ -293,19 +300,14 @@ fn run_soak(smoke: bool, jobs: usize, trajectory: &str) -> ExitCode {
     }
 
     let label = format!("{}+soak", revision_label());
-    // A soak runs once on the optimised path only (a reference soak
-    // would deliberately grow O(arrivals)); both ns columns carry the
-    // same measurement and the speedup is a placeholder 1.0.
     let entry = walltime::TrajectoryEntry {
         label: label.clone(),
         iters: 1,
         optimized_ns_per_event: outcome.ns_per_event(),
-        reference_ns_per_event: outcome.ns_per_event(),
         events_per_sec: outcome.events as f64 * 1e9 / outcome.wall_ns.max(1) as f64,
-        speedup: 1.0,
         rss_peak_mb: rss,
         live_high_water: Some(outcome.live_high_water),
-        calib_ms: Some(walltime::calibration_ms()),
+        calib_ms: Some(walltime::calibration_ms_median(SOAK_KERNEL_PASSES)),
     };
     let history = std::fs::read_to_string(trajectory).ok();
     let body = walltime::append_trajectory(history.as_deref(), &entry);
@@ -325,19 +327,12 @@ fn run_soak(smoke: bool, jobs: usize, trajectory: &str) -> ExitCode {
 fn run_events(iters: u32, trajectory: &str) -> ExitCode {
     let report = walltime::measure_events(iters);
     println!(
-        "events bench ({}): {} events/iter, {} iters per path",
+        "events bench ({}): {} events/iter, {} iters",
         walltime::EVENTS_SUBSET,
         report.events_per_iter,
         report.iters
     );
-    for (name, p) in [("calendar", &report.optimized), ("binary-heap", &report.reference)] {
-        println!(
-            "  {name:<11} {:>7.1} ns/event (min {:.1}, max {:.1})  {:>12.0} events/s",
-            p.ns_per_event.median, p.ns_per_event.min, p.ns_per_event.max,
-            p.events_per_sec.median,
-        );
-    }
-    println!("  speedup    {:.2}x (binary-heap ns/event over calendar)", report.speedup);
+    print_path(&report.optimized);
     let label = format!("{}+events", revision_label());
     let entry = walltime::TrajectoryEntry::from_report(&label, &report);
     let history = std::fs::read_to_string(trajectory).ok();
@@ -355,19 +350,13 @@ fn run_events(iters: u32, trajectory: &str) -> ExitCode {
 fn run_service(iters: u32, trajectory: &str) -> ExitCode {
     let report = walltime::measure_service(iters);
     println!(
-        "service bench ({}): {} runs/iter, {} events/iter, {} iters per path",
+        "service bench ({}): {} runs/iter, {} events/iter, {} iters",
         walltime::SERVICE_SUBSET,
         report.runs_per_iter,
         report.events_per_iter,
         report.iters
     );
-    for (name, p) in [("optimized", &report.optimized), ("reference", &report.reference)] {
-        println!(
-            "  {name:<10} {:>8.1} ns/event (min {:.1}, max {:.1})  {:>12.0} events/s",
-            p.ns_per_event.median, p.ns_per_event.min, p.ns_per_event.max,
-            p.events_per_sec.median,
-        );
-    }
+    print_path(&report.optimized);
     let label = format!("{}+service", revision_label());
     let entry = walltime::TrajectoryEntry::from_report(&label, &report);
     let history = std::fs::read_to_string(trajectory).ok();
@@ -378,6 +367,14 @@ fn run_service(iters: u32, trajectory: &str) -> ExitCode {
     }
     println!("  appended entry '{label}' to {trajectory}");
     ExitCode::SUCCESS
+}
+
+/// Prints one timed series' ns/event spread and events/sec median.
+fn print_path(p: &walltime::PathStats) {
+    println!(
+        "  {:>8.1} ns/event (min {:.1}, max {:.1})  {:>12.0} events/s",
+        p.ns_per_event.median, p.ns_per_event.min, p.ns_per_event.max, p.events_per_sec.median,
+    );
 }
 
 /// `BENCH_trajectory*.json` next to the report it belongs to.

@@ -1,15 +1,7 @@
 //! Wall-clock benchmark of the simulation hot path (`xtask bench`).
 //!
-//! Runs a pinned campaign subset N times on the optimised hot path and N
-//! times on the reference path that [`SocConfig::reference_hot_path`]
-//! re-enables (linear queue scans, per-arrival deadline recomputation,
-//! fresh heap allocations), then writes median ± spread ns/event and
-//! events/sec for both to `BENCH_simcore.json` at the repo root. Both
-//! paths are behaviourally identical by construction — the reference mode
-//! only restores the old host-side costs — so the speedup ratio is
-//! measured on the same build, same machine, same process, and each
-//! iteration additionally asserts the two paths dispatched the exact same
-//! number of simulator events.
+//! Runs a pinned campaign subset N times and writes median ± spread
+//! ns/event and events/sec to `BENCH_simcore.json` at the repo root.
 //!
 //! The subset is pinned (same policies, mixes, seeds, iteration pairing)
 //! so successive PRs produce comparable `BENCH_simcore.json` files: a
@@ -17,9 +9,9 @@
 //!
 //! Host speed moves absolute ns/event by up to 2× between machines (and
 //! between runs on one shared machine), so every iteration also times a
-//! fixed calibration kernel ([`calibration_kernel`]) next to its
-//! optimised pass. The regression gate compares ns/event ÷ kernel ms,
-//! which cancels the host's speed; absolute figures stay on record.
+//! fixed calibration kernel ([`calibration_kernel`]) next to its pass.
+//! The regression gate compares ns/event ÷ kernel ms, which cancels the
+//! host's speed; absolute figures stay on record.
 
 use crate::config_for;
 use relief_accel::{AppSpec, SocSim};
@@ -28,14 +20,17 @@ use relief_workloads::Contention;
 use std::time::Instant;
 
 /// Schema tag written to (and required in) `BENCH_simcore.json`. v2
-/// adds the `calibration` section the regression gate reads.
-pub const SCHEMA: &str = "relief-simcore-bench/v2";
+/// added the `calibration` section the regression gate reads; v3 drops
+/// the `reference` section and `speedup_ns_per_event`.
+pub const SCHEMA: &str = "relief-simcore-bench/v3";
 
 /// Schema tag of the sibling `BENCH_trajectory.json` history file.
 /// v2 added the optional per-entry `rss_peak_mb` and `live_high_water`
 /// fields the `+soak` series records; v3 adds the optional `calib_ms`
-/// (calibration kernel time). Older files are still parsed and
-/// rewritten under this tag on the next append.
+/// (calibration kernel time). Entries recorded since the reference path
+/// was retired omit `reference_ns_per_event` and `speedup`. Older files
+/// are still parsed and rewritten under this tag on the next append;
+/// their entries are kept verbatim.
 pub const TRAJECTORY_SCHEMA: &str = "relief-simcore-trajectory/v3";
 
 /// Earlier trajectory schema tags, still accepted on read.
@@ -64,6 +59,16 @@ pub fn calibration_ms() -> f64 {
     let t = Instant::now();
     std::hint::black_box(calibration_kernel());
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Median of `passes` [`calibration_ms`] timings: the soak's single
+/// long run pairs with this steadier figure.
+///
+/// # Panics
+///
+/// Panics when `passes` is zero.
+pub fn calibration_ms_median(passes: u32) -> f64 {
+    Spread::of((0..passes).map(|_| calibration_ms()).collect()).median
 }
 
 /// True when `body` carries the current or an earlier trajectory tag.
@@ -176,13 +181,12 @@ impl Sample {
     }
 }
 
-/// Runs every case once; `reference` selects the pre-optimisation path.
-pub fn run_cases(cases: &[Case], reference: bool) -> Sample {
+/// Runs every case once.
+pub fn run_cases(cases: &[Case]) -> Sample {
     let mut events = 0u64;
     let t0 = Instant::now();
     for case in cases {
         let mut cfg = config_for(case.policy, case.contention);
-        cfg.reference_hot_path = reference;
         if let Some(stream) = &case.stream {
             cfg = cfg.with_stream(stream.clone());
         }
@@ -214,7 +218,7 @@ impl Spread {
     }
 }
 
-/// Aggregated wall-clock statistics for one hot-path variant.
+/// Aggregated wall-clock statistics of a set of timed passes.
 #[derive(Debug, Clone, Copy)]
 pub struct PathStats {
     /// Wall-clock milliseconds per pass over the subset.
@@ -240,13 +244,13 @@ impl PathStats {
 pub struct Calibration {
     /// [`calibration_kernel`] time per iteration, milliseconds.
     pub kernel_ms: Spread,
-    /// Per iteration, optimised ns/event over that iteration's kernel
-    /// ms: the host-invariant figure the regression gate compares.
+    /// Per iteration, ns/event over that iteration's kernel ms: the
+    /// host-invariant figure the regression gate compares.
     pub ns_per_event_per_kernel_ms: Spread,
 }
 
 impl Calibration {
-    /// Pairs each optimised pass with the kernel time taken beside it.
+    /// Pairs each pass with the kernel time taken beside it.
     fn of(opt: &[Sample], kernel_ms: &[f64]) -> Calibration {
         Calibration {
             kernel_ms: Spread::of(kernel_ms.to_vec()),
@@ -260,31 +264,26 @@ impl Calibration {
 /// The full benchmark result serialised to `BENCH_simcore.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Timed passes per path.
+    /// Timed passes.
     pub iters: u32,
     /// Simulations per pass (size of the pinned subset).
     pub runs_per_iter: usize,
-    /// Simulator events dispatched per pass (identical for both paths and
-    /// across iterations — the simulator is deterministic).
+    /// Simulator events dispatched per pass (identical across iterations
+    /// — the simulator is deterministic).
     pub events_per_iter: u64,
-    /// The optimised hot path.
+    /// The hot path's timings.
     pub optimized: PathStats,
-    /// The pre-optimisation reference path.
-    pub reference: PathStats,
-    /// Median reference ns/event over median optimised ns/event.
-    pub speedup: f64,
-    /// Host-speed calibration taken alongside the optimised passes.
+    /// Host-speed calibration taken alongside the passes.
     pub calibration: Calibration,
 }
 
-/// Times `iters` interleaved optimised/reference passes over the pinned
-/// subset. Interleaving keeps slow host drift (thermal, scheduling) from
-/// biasing one path.
+/// Times `iters` passes over the pinned subset, each beside a
+/// calibration-kernel pass.
 ///
 /// # Panics
 ///
-/// Panics if the two paths ever dispatch different event counts — that
-/// would mean `reference_hot_path` changed behaviour, not just cost.
+/// Panics when `iters` is zero, or if two passes ever dispatch different
+/// event counts (the simulator would have lost determinism).
 pub fn measure(iters: u32) -> BenchReport {
     measure_cases(pinned_subset(), iters)
 }
@@ -314,13 +313,10 @@ const EVENTS_HELD: u64 = 4096;
 /// deterministic ([`SplitMix64`], fixed seed) and shaped like simulator
 /// traffic: a quarter of pushes land on an already-pending timestamp
 /// (cohort partners), 1/64 land far in the future (repair-style overflow
-/// traffic), the rest spread over the near rung. `reference` swaps in
-/// the binary-heap queue, so the pair isolates exactly what the
-/// sorted-vec near rung and cohort drain buy.
-fn run_events_pass(reference: bool) -> Sample {
+/// traffic), the rest spread over the near rung.
+fn run_events_pass() -> Sample {
     use relief_sim::{EventQueue, SplitMix64, Time};
-    let mut q: EventQueue<u32> =
-        if reference { EventQueue::reference() } else { EventQueue::new() };
+    let mut q: EventQueue<u32> = EventQueue::new();
     let mut rng = SplitMix64::new(0xC0_0407);
     let mut pushed = 0u64;
     let mut last_at: u64 = 0;
@@ -374,59 +370,41 @@ fn run_events_pass(reference: bool) -> Sample {
 /// Panics when `iters` is zero.
 pub fn measure_events(iters: u32) -> BenchReport {
     assert!(iters > 0, "need at least one iteration");
-    run_events_pass(false);
-    run_events_pass(true);
-    let mut opt = Vec::new();
-    let mut reference = Vec::new();
+    run_events_pass();
+    let mut passes = Vec::new();
     let mut kernel = Vec::new();
     for _ in 0..iters {
         kernel.push(calibration_ms());
-        opt.push(run_events_pass(false));
-        reference.push(run_events_pass(true));
+        passes.push(run_events_pass());
     }
-    let optimized = PathStats::of(&opt);
-    let ref_stats = PathStats::of(&reference);
     BenchReport {
         iters,
         runs_per_iter: 1,
-        events_per_iter: opt[0].events,
-        optimized,
-        reference: ref_stats,
-        speedup: ref_stats.ns_per_event.median / optimized.ns_per_event.median,
-        calibration: Calibration::of(&opt, &kernel),
+        events_per_iter: passes[0].events,
+        optimized: PathStats::of(&passes),
+        calibration: Calibration::of(&passes, &kernel),
     }
 }
 
 /// Shared timing loop behind [`measure`] and [`measure_service`].
 fn measure_cases(cases: Vec<Case>, iters: u32) -> BenchReport {
     assert!(iters > 0, "need at least one iteration");
-    // Warm-up pass per path (page-cache, branch predictors, allocator).
-    run_cases(&cases, false);
-    run_cases(&cases, true);
-    let mut opt = Vec::new();
-    let mut reference = Vec::new();
+    // Warm-up pass (page-cache, branch predictors, allocator).
+    let warm = run_cases(&cases);
+    let mut passes = Vec::new();
     let mut kernel = Vec::new();
     for _ in 0..iters {
         kernel.push(calibration_ms());
-        let o = run_cases(&cases, false);
-        let r = run_cases(&cases, true);
-        assert_eq!(
-            o.events, r.events,
-            "reference_hot_path must not change simulated behaviour"
-        );
-        opt.push(o);
-        reference.push(r);
+        let pass = run_cases(&cases);
+        assert_eq!(pass.events, warm.events, "the simulator must stay deterministic");
+        passes.push(pass);
     }
-    let optimized = PathStats::of(&opt);
-    let ref_stats = PathStats::of(&reference);
     BenchReport {
         iters,
         runs_per_iter: cases.len(),
-        events_per_iter: opt[0].events,
-        optimized,
-        reference: ref_stats,
-        speedup: ref_stats.ns_per_event.median / optimized.ns_per_event.median,
-        calibration: Calibration::of(&opt, &kernel),
+        events_per_iter: warm.events,
+        optimized: PathStats::of(&passes),
+        calibration: Calibration::of(&passes, &kernel),
     }
 }
 
@@ -452,8 +430,7 @@ pub fn to_json(r: &BenchReport) -> String {
     format!(
         "{{\n  \"schema\": \"{}\",\n  \"subset\": \"{}\",\n  \"iters\": {},\n  \
          \"runs_per_iter\": {},\n  \"events_per_iter\": {},\n  \"optimized\": {},\n  \
-         \"reference\": {},\n  \"speedup_ns_per_event\": {:.2},\n  \"calibration\": {{\n    \
-         \"kernel\": \"{}\",\n    \"kernel_ms\": {},\n    \
+         \"calibration\": {{\n    \"kernel\": \"{}\",\n    \"kernel_ms\": {},\n    \
          \"ns_per_event_per_kernel_ms\": {}\n  }}\n}}\n",
         SCHEMA,
         SUBSET,
@@ -461,8 +438,6 @@ pub fn to_json(r: &BenchReport) -> String {
         r.runs_per_iter,
         r.events_per_iter,
         path_json(&r.optimized),
-        path_json(&r.reference),
-        r.speedup,
         CALIBRATION_KERNEL,
         spread_json(&r.calibration.kernel_ms, 2),
         spread_json(&r.calibration.ns_per_event_per_kernel_ms, 4),
@@ -477,14 +452,10 @@ pub struct TrajectoryEntry {
     pub label: String,
     /// Timed passes behind the medians.
     pub iters: u32,
-    /// Median optimised ns/event.
+    /// Median ns/event.
     pub optimized_ns_per_event: f64,
-    /// Median reference ns/event.
-    pub reference_ns_per_event: f64,
-    /// Median optimised events/sec.
+    /// Median events/sec.
     pub events_per_sec: f64,
-    /// Median reference over median optimised ns/event.
-    pub speedup: f64,
     /// Peak host RSS in megabytes (schema v2, `+soak` entries only).
     pub rss_peak_mb: Option<f64>,
     /// Live-slot high-water mark (schema v2, `+soak` entries only).
@@ -502,9 +473,7 @@ impl TrajectoryEntry {
             label: label.into(),
             iters: r.iters,
             optimized_ns_per_event: r.optimized.ns_per_event.median,
-            reference_ns_per_event: r.reference.ns_per_event.median,
             events_per_sec: r.optimized.events_per_sec.median,
-            speedup: r.speedup,
             rss_peak_mb: None,
             live_high_water: None,
             calib_ms: Some(r.calibration.kernel_ms.median),
@@ -519,13 +488,11 @@ impl TrajectoryEntry {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\": \"{}\", \"iters\": {}, \"optimized_ns_per_event\": {:.1}, \
-             \"reference_ns_per_event\": {:.1}, \"events_per_sec\": {:.0}, \"speedup\": {:.2}",
+             \"events_per_sec\": {:.0}",
             self.label.replace(['"', '\\'], "_"),
             self.iters,
             self.optimized_ns_per_event,
-            self.reference_ns_per_event,
             self.events_per_sec,
-            self.speedup,
         );
         if let Some(mb) = self.rss_peak_mb {
             out.push_str(&format!(", \"rss_peak_mb\": {mb:.1}"));
@@ -582,22 +549,56 @@ fn flat_field(entry: &str, key: &str) -> Option<f64> {
     num[..end].trim().parse().ok()
 }
 
-/// The optimised ns/event of the most recent `+soak` entry in a
-/// serialised trajectory history — the committed soak baseline
-/// `xtask bench --check` gates against. `None` when the history is
-/// missing, from another schema, or holds no soak entries yet.
+/// The newest `+soak` entry of a serialised trajectory history — the
+/// committed soak baseline `xtask bench --check` gates against: its
+/// ns/event and, when recorded (schema v3), its calibration kernel ms.
+/// `None` when the history is missing, from another schema, or holds no
+/// soak entries yet.
 #[must_use]
-pub fn last_soak_ns(history: &str) -> Option<f64> {
+pub fn last_soak(history: &str) -> Option<(f64, Option<f64>)> {
     if !is_trajectory(history) {
         return None;
     }
-    extract_flat_objects(history)
-        .iter()
-        .rev()
-        .find(|e| {
-            flat_label(e).is_some_and(|l| l.ends_with("+soak"))
-        })
-        .and_then(|e| flat_field(e, "optimized_ns_per_event"))
+    let entries = extract_flat_objects(history);
+    let entry =
+        entries.iter().rev().find(|e| flat_label(e).is_some_and(|l| l.ends_with("+soak")))?;
+    Some((flat_field(entry, "optimized_ns_per_event")?, flat_field(entry, "calib_ms")))
+}
+
+/// The soak half of `xtask bench --check`: the fresh soak's ns/event
+/// over the kernel ms timed beside it must stay within `tolerance` (a
+/// fraction) of the committed `(ns/event, calib_ms)` entry's ratio
+/// ([`last_soak`]). An entry without `calib_ms` fails: it must be
+/// re-recorded, not compared in absolute ns. Returns the summary either
+/// way; `Err` means the gate failed.
+pub fn soak_gate(
+    committed: (f64, Option<f64>),
+    fresh_ns: f64,
+    fresh_kernel_ms: f64,
+    tolerance: f64,
+) -> Result<String, String> {
+    let (old_ns, old_kernel) = committed;
+    let Some(old_kernel) = old_kernel else {
+        return Err(format!(
+            "the newest +soak trajectory entry ({old_ns:.1} ns/event) has no calib_ms; \
+             re-record it with 'cargo run -p xtask -- bench --soak' and commit it"
+        ));
+    };
+    let old = old_ns / old_kernel;
+    let fresh = fresh_ns / fresh_kernel_ms;
+    let limit = old * (1.0 + tolerance);
+    let summary = format!(
+        "committed {old:.3} vs fresh {fresh:.3} ns/event per kernel-ms; limit {limit:.3} at \
+         {:.0}% tolerance [absolute: committed {old_ns:.1} ns/event at {old_kernel:.1} \
+         ms/kernel, fresh {fresh_ns:.1} ns/event at {fresh_kernel_ms:.1} ms/kernel]",
+        tolerance * 100.0,
+    );
+    // total_cmp: a NaN measurement must fail the gate, not sneak past `>`.
+    if fresh.total_cmp(&limit) == std::cmp::Ordering::Greater || !fresh.is_finite() {
+        Err(format!("soak regressed: {summary}"))
+    } else {
+        Ok(summary)
+    }
 }
 
 /// The label of one flat trajectory-entry object.
@@ -621,14 +622,14 @@ fn section_median(json: &str, section: &str, key: &str) -> Result<f64, String> {
     num[..end].trim().parse().map_err(|e| format!("bad {key} median: {e}"))
 }
 
-/// Reads the optimised median ns/event out of a serialised
-/// `BENCH_simcore.json` — kept on record beside the calibrated figure.
+/// Reads the median ns/event out of a serialised `BENCH_simcore.json` —
+/// kept on record beside the calibrated figure.
 pub fn baseline_optimized_ns(json: &str) -> Result<f64, String> {
     validate(json)?;
     section_median(json, "optimized", "ns_per_event")
 }
 
-/// Reads the median calibrated cost (optimised ns/event over kernel ms)
+/// Reads the median calibrated cost (ns/event over kernel ms)
 /// out of a serialised `BENCH_simcore.json` — the committed baseline the
 /// regression gate compares against.
 pub fn baseline_calibrated(json: &str) -> Result<f64, String> {
@@ -637,7 +638,7 @@ pub fn baseline_calibrated(json: &str) -> Result<f64, String> {
 }
 
 /// The no-regression gate of `xtask bench --check`: the *fastest* pass
-/// of the fresh run, in calibrated units (optimised ns/event over the
+/// of the fresh run, in calibrated units (ns/event over the
 /// calibration kernel's ms), must stay within `tolerance` (a fraction,
 /// e.g. `0.10`) of the committed baseline's *median* calibrated cost.
 /// Dividing by the kernel cancels host speed, so the gate trips on code,
@@ -676,7 +677,7 @@ pub fn regression_gate(
 }
 
 /// Validates a serialised report: well-formed JSON, the expected schema
-/// tag, and strictly positive `events_per_sec` medians for both paths.
+/// tag, and one strictly positive `events_per_sec` median.
 /// Used by `xtask bench --check` so the bench binary cannot bit-rot.
 pub fn validate(json: &str) -> Result<(), String> {
     if !relief_trace::chrome::is_well_formed_json(json) {
@@ -687,8 +688,6 @@ pub fn validate(json: &str) -> Result<(), String> {
     }
     for key in [
         "\"optimized\":",
-        "\"reference\":",
-        "\"speedup_ns_per_event\":",
         "\"calibration\":",
         "\"ns_per_event_per_kernel_ms\":",
     ] {
@@ -706,8 +705,8 @@ pub fn validate(json: &str) -> Result<(), String> {
         medians.push(value);
         rest = &rest[at + 1..];
     }
-    if medians.len() != 2 {
-        return Err(format!("expected 2 events_per_sec medians, found {}", medians.len()));
+    if medians.len() != 1 {
+        return Err(format!("expected 1 events_per_sec median, found {}", medians.len()));
     }
     // partial_cmp: a NaN median must fail validation, not slip past `>`.
     if let Some(bad) =
@@ -763,16 +762,16 @@ mod tests {
             runs_per_iter: 32,
             events_per_iter: 123_456,
             optimized: stats,
-            reference: stats,
-            speedup: 1.0,
             calibration: calibration(&stats, 20.0),
         };
         let json = to_json(&report);
         assert_eq!(validate(&json), Ok(()));
         assert_eq!(baseline_calibrated(&json), Ok(2.5));
-        // A v1-tagged report no longer validates.
-        let v1 = json.replace(SCHEMA, "relief-simcore-bench/v1");
-        assert!(validate(&v1).is_err());
+        assert!(!json.contains("reference") && !json.contains("speedup"), "{json}");
+        // Older-tagged reports no longer validate.
+        for old in ["relief-simcore-bench/v1", "relief-simcore-bench/v2"] {
+            assert!(validate(&json.replace(SCHEMA, old)).is_err());
+        }
     }
 
     #[test]
@@ -799,12 +798,6 @@ mod tests {
                 ns_per_event: Spread { median: 1.0, min: 1.0, max: 1.0 },
                 events_per_sec: Spread { median: 0.0, min: 0.0, max: 0.0 },
             },
-            reference: PathStats {
-                wall_ms: Spread { median: 1.0, min: 1.0, max: 1.0 },
-                ns_per_event: Spread { median: 1.0, min: 1.0, max: 1.0 },
-                events_per_sec: Spread { median: 0.0, min: 0.0, max: 0.0 },
-            },
-            speedup: 1.0,
             calibration: Calibration {
                 kernel_ms: Spread { median: 1.0, min: 1.0, max: 1.0 },
                 ns_per_event_per_kernel_ms: Spread { median: 1.0, min: 1.0, max: 1.0 },
@@ -830,8 +823,6 @@ mod tests {
             runs_per_iter: 32,
             events_per_iter: 123_456,
             optimized: stats,
-            reference: stats,
-            speedup: 1.0,
             calibration: calibration(&stats, kernel_ms),
         }
     }
@@ -855,6 +846,8 @@ mod tests {
         // Optional fields absent: the line matches the v1 entry shape.
         let plain = TrajectoryEntry::from_report("abc", &report_with_optimized_median(50.0));
         assert!(!plain.to_json().contains("rss_peak_mb"));
+        assert!(!plain.to_json().contains("reference_ns_per_event"));
+        assert!(!plain.to_json().contains("speedup"));
         // Present: emitted, and the file stays well-formed.
         let mut soak = plain.clone();
         soak.label = "abc+soak".into();
@@ -873,9 +866,40 @@ mod tests {
         assert_eq!(upgraded.matches("\"label\"").count(), 2, "{upgraded}");
         assert!(upgraded.contains(TRAJECTORY_SCHEMA), "{upgraded}");
         // The soak baseline reader finds the latest +soak entry in both.
-        assert_eq!(last_soak_ns(&upgraded), Some(50.0));
-        assert_eq!(last_soak_ns(&v1), None, "no +soak entry in the v1 body");
-        assert_eq!(last_soak_ns("not json"), None);
+        assert_eq!(last_soak(&upgraded), Some((50.0, Some(20.0))));
+        assert_eq!(last_soak(&v1), None, "no +soak entry in the v1 body");
+        assert_eq!(last_soak("not json"), None);
+    }
+
+    #[test]
+    fn trajectory_keeps_old_entries_verbatim() {
+        let old = "{\n  \"schema\": \"relief-simcore-trajectory/v3\",\n  \"entries\": [\n    \
+                   {\"label\": \"x+soak\", \"iters\": 1, \"optimized_ns_per_event\": 104.2, \
+                   \"reference_ns_per_event\": 104.2, \"events_per_sec\": 9600980, \
+                   \"speedup\": 1.00, \"rss_peak_mb\": 3.7, \"live_high_water\": 29}\n  ]\n}\n";
+        let entry = TrajectoryEntry::from_report("y", &report_with_optimized_median(50.0));
+        let body = append_trajectory(Some(old), &entry);
+        assert!(body.contains("\"reference_ns_per_event\": 104.2, "), "{body}");
+        assert_eq!(body.matches("speedup").count(), 1, "{body}");
+        // A pre-calibration soak entry is found, without `calib_ms`.
+        assert_eq!(last_soak(&body), Some((104.2, None)));
+    }
+
+    #[test]
+    fn soak_gate_is_calibrated_and_demands_calib_ms() {
+        // 100 ns/event at 20 ms/kernel calibrates to 5.0; limit 8.0 at 60 %.
+        let committed = (100.0, Some(20.0));
+        assert!(soak_gate(committed, 100.0, 20.0, 0.60).is_ok());
+        // Same code on a host twice as slow: still passes.
+        assert!(soak_gate(committed, 200.0, 40.0, 0.60).is_ok());
+        // A real 70 % regression fails, printing both sides.
+        let err = soak_gate(committed, 170.0, 20.0, 0.60).unwrap_err();
+        assert!(err.contains("5.000") && err.contains("8.500"), "{err}");
+        assert!(soak_gate(committed, f64::NAN, 20.0, 0.60).is_err());
+        // No calib_ms on the committed entry: fail and ask for a
+        // re-record, never fall back to absolute ns.
+        let err = soak_gate((100.0, None), 50.0, 20.0, 0.60).unwrap_err();
+        assert!(err.contains("re-record"), "{err}");
     }
 
     #[test]
@@ -943,12 +967,6 @@ mod tests {
             assert!(stream.enabled(), "service case must stream");
             assert_eq!(stream.tenants.len(), c.workload.len());
         }
-        // The two paths must dispatch identical event counts in stream
-        // mode too — the microbench's core assertion, checked once here
-        // so `xtask bench --service` cannot be the first to find out.
-        let o = run_cases(&cases, false);
-        let r = run_cases(&cases, true);
-        assert_eq!(o.events, r.events);
-        assert!(o.events > 0);
+        assert!(run_cases(&cases).events > 0);
     }
 }

@@ -2,7 +2,6 @@
 
 use relief_dag::AccTypeId;
 use relief_sim::{Dur, Intern, InternId, KindId};
-use std::collections::HashMap;
 
 /// Per-(accelerator, operation) compute-time profile.
 ///
@@ -17,11 +16,8 @@ use std::collections::HashMap;
 /// [`predict_id`](ComputeProfile::predict_id) — the per-ready-queue-
 /// insertion hot-path call — is two array indexes with no hashing. The
 /// string-keyed [`observe`](ComputeProfile::observe)/
-/// [`predict`](ComputeProfile::predict) API is preserved on top and
-/// deliberately kept on the pre-interning nested-`HashMap` storage: it is
-/// the wall-clock benchmark's reference cost model, so its per-call cost
-/// (two hash lookups) must not quietly improve. Both stores hold the
-/// same observations.
+/// [`predict`](ComputeProfile::predict) API resolves the label to its id
+/// and reads the same table.
 ///
 /// # Examples
 ///
@@ -45,11 +41,6 @@ pub struct ComputeProfile {
     /// never-observed slots. Both axes are dense small integers.
     table: Vec<Vec<(Dur, u64)>>,
     kinds: Intern<KindId>,
-    /// Pre-interning storage kept verbatim for the string-keyed API. The
-    /// reference hot path in the wall-clock benchmark predicts through
-    /// this map so its cost stays two hash lookups, exactly as before the
-    /// dense table existed. Mirrors `table` observation-for-observation.
-    legacy: HashMap<AccTypeId, HashMap<String, (Dur, u64)>>,
 }
 
 impl ComputeProfile {
@@ -72,14 +63,6 @@ impl ComputeProfile {
 
     /// Records an observed compute time for an already-interned kind.
     pub fn observe_id(&mut self, acc: AccTypeId, kind: KindId, compute: Dur) {
-        let label = self.kinds.resolve(kind);
-        let by_label = self.legacy.entry(acc).or_default();
-        let (sum, count) = match by_label.get_mut(label) {
-            Some(slot) => slot,
-            None => by_label.entry(label.to_string()).or_insert((Dur::ZERO, 0)),
-        };
-        *sum += compute;
-        *count += 1;
         let a = acc.0 as usize;
         if a >= self.table.len() {
             self.table.resize(a + 1, Vec::new());
@@ -95,11 +78,10 @@ impl ComputeProfile {
     }
 
     /// Predicted compute time: the mean of observations for `(acc, label)`,
-    /// or `None` if never observed. Costs two hash lookups — this is the
-    /// reference cost model and must stay on the legacy store.
+    /// or `None` if never observed. One hash lookup to resolve the label,
+    /// then [`predict_id`](Self::predict_id).
     pub fn predict(&self, acc: AccTypeId, label: &str) -> Option<Dur> {
-        let (sum, count) = self.legacy.get(&acc)?.get(label)?;
-        Some(*sum / *count)
+        self.predict_id(acc, self.kinds.get(label)?)
     }
 
     /// Predicted compute time by interned kind: two array indexes, no
@@ -169,5 +151,40 @@ mod tests {
         // Interned but never observed on this accelerator.
         assert_eq!(p.predict_id(AccTypeId(2), gemm), None);
         assert_eq!(p.predict_id(AccTypeId(0), conv), None);
+    }
+
+    /// The dense table against a label-keyed `HashMap` of running
+    /// `(sum, count)` pairs: a seeded stream of observations over a few
+    /// accelerators and labels, with every prediction checked after each
+    /// observation.
+    #[test]
+    fn matches_label_keyed_hashmap_oracle() {
+        use relief_sim::SplitMix64;
+        use std::collections::HashMap;
+        let labels = ["conv", "gemm", "pool", "fft", "sort"];
+        let mut rng = SplitMix64::new(0xC0_4B17E);
+        let mut p = ComputeProfile::new();
+        let mut oracle: HashMap<(u32, &str), (Dur, u64)> = HashMap::new();
+        for step in 0..2_000u32 {
+            let acc = (rng.next_u64() % 4) as u32;
+            let label = labels[(rng.next_u64() % labels.len() as u64) as usize];
+            let compute = Dur::from_ps(rng.next_u64() % 10_000_000);
+            if step % 2 == 0 {
+                p.observe(AccTypeId(acc), label, compute);
+            } else {
+                let kind = p.intern_kind(label);
+                p.observe_id(AccTypeId(acc), kind, compute);
+            }
+            let slot = oracle.entry((acc, label)).or_insert((Dur::ZERO, 0));
+            slot.0 += compute;
+            slot.1 += 1;
+            for a in 0..5u32 {
+                for l in labels.iter().chain(["never"].iter()) {
+                    let want = oracle.get(&(a, *l)).map(|&(sum, count)| sum / count);
+                    assert_eq!(p.predict(AccTypeId(a), l), want, "step {step} acc {a} {l}");
+                }
+            }
+        }
+        assert_eq!(p.len(), oracle.len());
     }
 }

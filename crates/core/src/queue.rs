@@ -35,9 +35,6 @@ pub struct ReadyQueues {
     queues: Vec<VecDeque<TaskEntry>>,
     /// Number of escalated (`is_fwd`) entries at the front of each queue.
     fwd_prefix: Vec<usize>,
-    /// Route position queries through the pre-optimisation linear scans
-    /// (benchmark reference mode; results are identical by construction).
-    reference_linear_scans: bool,
     ops: u64,
 }
 
@@ -68,7 +65,6 @@ impl ReadyQueues {
         ReadyQueues {
             queues: vec![VecDeque::new(); num_acc_types],
             fwd_prefix: vec![0; num_acc_types],
-            reference_linear_scans: false,
             ops: 0,
         }
     }
@@ -111,14 +107,6 @@ impl ReadyQueues {
         self.ops
     }
 
-    /// Routes position queries through the pre-optimisation linear scans.
-    /// Only the cost model changes: the linear and binary paths return
-    /// identical results (pinned by the `queue_properties` suite). Used by
-    /// the wall-clock benchmark to measure the old cost on the same build.
-    pub fn set_reference_linear_scans(&mut self, on: bool) {
-        self.reference_linear_scans = on;
-    }
-
     /// The insertion index for `entry`: after the escalated (`is_fwd`)
     /// prefix, before the first entry with a strictly greater
     /// `(sort_key, seq)` pair (FIFO among equals). This is the paper's
@@ -126,9 +114,6 @@ impl ReadyQueues {
     ///
     /// `entry.sort_key` must already hold the active policy's key.
     pub fn find_pos(&self, acc: AccTypeId, entry: &TaskEntry) -> usize {
-        if self.reference_linear_scans {
-            return self.find_pos_linear(acc, entry);
-        }
         let q = self.queue(acc);
         let start = self.fwd_prefix[acc.0 as usize];
         let target = (entry.sort_key, entry.seq);
@@ -137,7 +122,7 @@ impl ReadyQueues {
 
     /// Reference implementation of [`find_pos`](Self::find_pos): the
     /// original head-to-tail walk. Kept as the oracle for the binary-search
-    /// property tests and as the benchmark baseline's cost model.
+    /// property tests.
     pub fn find_pos_linear(&self, acc: AccTypeId, entry: &TaskEntry) -> usize {
         let q = self.queue(acc);
         let start = q.iter().take_while(|t| t.is_fwd).count();
@@ -206,12 +191,6 @@ impl ReadyQueues {
     /// which is bounded by the type's instance count.
     pub fn is_escalated_or_head(&self, acc: AccTypeId, key: TaskKey) -> bool {
         let q = self.queue(acc);
-        if self.reference_linear_scans {
-            return match q.iter().position(|t| t.key == key) {
-                Some(i) => i == 0 || q[i].is_fwd,
-                None => false,
-            };
-        }
         q.front().is_some_and(|t| t.key == key)
             || q.iter().take(self.fwd_prefix[acc.0 as usize]).any(|t| t.key == key)
     }
@@ -228,12 +207,6 @@ impl ReadyQueues {
             q.iter().skip(start).all(|t| t.sort_key == t.laxity),
             "laxity search requires laxity-keyed entries"
         );
-        if self.reference_linear_scans {
-            return q
-                .iter()
-                .position(|t| t.laxity >= threshold)
-                .unwrap_or(q.len());
-        }
         partition_point_from(q, start, |t| t.laxity < threshold)
     }
 

@@ -63,8 +63,9 @@ impl Interconnect {
     /// Allocates the returned `Vec`; the simulation hot path uses
     /// [`earliest_start`](Self::earliest_start) +
     /// [`reserve_from`](Self::reserve_from) instead, which touch the same
-    /// lanes without boxing them. This accessor remains for the reference
-    /// cost path and for tests that drive lanes directly.
+    /// lanes without boxing them. This accessor remains for tests that
+    /// drive lanes directly, including the transfer engine's
+    /// reference-reservation oracle.
     pub fn lanes_mut(
         &mut self,
         src: Option<usize>,

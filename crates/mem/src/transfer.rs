@@ -2,7 +2,6 @@
 
 use crate::config::MemConfig;
 use crate::interconnect::Interconnect;
-use relief_sim::timeline::reserve_joint;
 use relief_sim::{Dur, SlotAlloc, Time, Timeline};
 use relief_trace::{Endpoint, EventKind, ResourceId, Tracer};
 use std::fmt;
@@ -18,13 +17,6 @@ pub enum Port {
 }
 
 impl Port {
-    fn spad_index(self) -> Option<usize> {
-        match self {
-            Port::Dram => None,
-            Port::Spad(i) => Some(i),
-        }
-    }
-
     fn endpoint(self) -> Endpoint {
         match self {
             Port::Dram => Endpoint::Dram,
@@ -140,8 +132,8 @@ fn port_from_compact(x: i32) -> Port {
     if x < 0 { Port::Dram } else { Port::Spad(x as usize) }
 }
 
-/// `Some(spad index)` for a scratchpad endpoint, `None` for DRAM —
-/// compact-encoding analogue of [`Port::spad_index`].
+/// `Some(spad index)` for a compact scratchpad endpoint, `None` for
+/// DRAM.
 fn spad_of(x: i32) -> Option<usize> {
     if x < 0 { None } else { Some(x as usize) }
 }
@@ -237,10 +229,6 @@ pub struct TransferEngine {
     chunk_icn_dur: Dur,
     chunk_dma_dur: Dur,
     chunk_dram_dur: Dur,
-    /// Routes chunk issue through the pre-optimisation path (boxed lane
-    /// lists, per-chunk bandwidth divisions). Identical reservations by
-    /// construction; only the host-side cost differs.
-    reference_alloc_path: bool,
     dram_read_bytes: u64,
     dram_write_bytes: u64,
     spad_to_spad_bytes: u64,
@@ -277,7 +265,6 @@ impl TransferEngine {
             chunk_icn_dur: Dur::for_bytes(config.chunk_bytes, config.interconnect_bandwidth),
             chunk_dma_dur: Dur::for_bytes(config.chunk_bytes, config.dma_bandwidth),
             chunk_dram_dur: Dur::for_bytes(config.chunk_bytes, config.dram_bandwidth),
-            reference_alloc_path: false,
             config,
             dram_read_bytes: 0,
             dram_write_bytes: 0,
@@ -302,12 +289,6 @@ impl TransferEngine {
     /// How many blackout windows have actually delayed a chunk start.
     pub fn channel_outages_applied(&self) -> u64 {
         self.dram_outages.as_ref().map_or(0, |o| o.applied)
-    }
-
-    /// Switches chunk issue to the pre-optimisation cost path (see
-    /// `reference_alloc_path` field docs). For benchmarking only.
-    pub fn set_reference_alloc_path(&mut self, on: bool) {
-        self.reference_alloc_path = on;
     }
 
     /// Per-chunk service durations for `chunk` bytes on the interconnect,
@@ -461,16 +442,14 @@ impl TransferEngine {
     /// Issues the next chunk of the transfer in slot `s`; returns its
     /// completion time.
     ///
-    /// The correlated reservation mirrors [`reserve_joint`]: every
+    /// The correlated reservation mirrors
+    /// [`reserve_joint`](relief_sim::timeline::reserve_joint): every
     /// involved resource starts at the latest availability across the set
     /// and is held for its own duration — but the resources are reserved
     /// through direct field borrows, so the per-chunk path allocates
     /// nothing, and the transfer state is read straight out of the hot
     /// arena columns.
     fn issue_chunk(&mut self, s: usize, now: Time) -> Time {
-        if self.reference_alloc_path {
-            return self.issue_chunk_reference(s, now);
-        }
         let h = &mut self.hot[s];
         let chunk = h.remaining.min(self.config.chunk_bytes);
         if chunk == 0 {
@@ -514,74 +493,6 @@ impl TransferEngine {
         end = end.max(start + icn_dur);
         end = end.max(self.dmas[dma].reserve_from(now, start, dma_dur).1);
 
-        self.icn.note_busy(start, start + icn_dur);
-
-        let h = &mut self.hot[s];
-        if h.first_start == Time::MAX {
-            h.first_start = start;
-        }
-        h.queued += start.saturating_since(now);
-        h.last_end = h.last_end.max(end);
-        end
-    }
-
-    /// The pre-optimisation chunk path, kept verbatim so `xtask bench`
-    /// can record the old cost on the same build: boxes the lane set,
-    /// recomputes bandwidth divisions per chunk, and reserves through
-    /// [`reserve_joint`]. Reservation-for-reservation identical to
-    /// [`issue_chunk`](Self::issue_chunk).
-    fn issue_chunk_reference(&mut self, s: usize, now: Time) -> Time {
-        let chunk = self.hot[s].remaining.min(self.config.chunk_bytes);
-        if chunk == 0 {
-            let h = &mut self.hot[s];
-            h.last_end = now;
-            if h.first_start == Time::MAX {
-                h.first_start = now;
-            }
-            return now;
-        }
-        self.hot[s].remaining -= chunk;
-        let route = self.hot[s].route();
-
-        let icn_dur = Dur::for_bytes(chunk, self.config.interconnect_bandwidth);
-        let dma_dur = Dur::for_bytes(chunk, self.config.dma_bandwidth);
-        let dram_dur = Dur::for_bytes(chunk, self.config.dram_bandwidth);
-
-        let mut resources: Vec<&mut Timeline> = Vec::with_capacity(5);
-        let mut durs: Vec<Dur> = Vec::with_capacity(5);
-        if route.uses_dram() {
-            resources.push(&mut self.dram);
-            durs.push(dram_dur);
-        }
-        let src = route.src.spad_index();
-        let dst = route.dst.spad_index();
-        if let Some(si) = src {
-            resources.push(&mut self.spad_ports[si]);
-            durs.push(icn_dur);
-        }
-        let lanes = self.icn.lanes_mut(src, dst);
-        for lane in lanes {
-            resources.push(lane);
-            durs.push(icn_dur);
-        }
-        resources.push(&mut self.dmas[self.hot[s].dma as usize]);
-        durs.push(dma_dur);
-
-        let (start, end) = if self.dram_outages.is_some() && route.uses_dram() {
-            // The blackout gate sits between the joint earliest-start fold
-            // and the reservations, so `reserve_joint` is inlined here —
-            // identical except for the gate, which both paths apply after
-            // maxing over every involved resource.
-            let mut start = resources.iter().fold(now, |acc, r| acc.max(r.earliest_start(now)));
-            start = gate_dram_start(&mut self.dram_outages, &self.tracer, start);
-            let mut end = start;
-            for (r, &d) in resources.iter_mut().zip(&durs) {
-                end = end.max(r.reserve_from(now, start, d).1);
-            }
-            (start, end)
-        } else {
-            reserve_joint(&mut resources, &durs, now)
-        };
         self.icn.note_busy(start, start + icn_dur);
 
         let h = &mut self.hot[s];
@@ -647,6 +558,97 @@ impl TransferEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relief_sim::timeline::reserve_joint;
+
+    /// The pre-optimisation chunk reservation, kept as the oracle for
+    /// [`TransferEngine::issue_chunk`]: boxes the lane set, recomputes the
+    /// bandwidth divisions per chunk, and reserves through
+    /// [`reserve_joint`]. Reserves one `chunk`-byte chunk of a `route`
+    /// transfer driven by engine `dma` on `e`'s resources at `now` and
+    /// returns its completion time.
+    fn issue_chunk_reference(
+        e: &mut TransferEngine,
+        route: Route,
+        dma: usize,
+        chunk: u64,
+        now: Time,
+    ) -> Time {
+        if chunk == 0 {
+            return now;
+        }
+        let icn_dur = Dur::for_bytes(chunk, e.config.interconnect_bandwidth);
+        let dma_dur = Dur::for_bytes(chunk, e.config.dma_bandwidth);
+        let dram_dur = Dur::for_bytes(chunk, e.config.dram_bandwidth);
+
+        let mut resources: Vec<&mut Timeline> = Vec::with_capacity(5);
+        let mut durs: Vec<Dur> = Vec::with_capacity(5);
+        if route.uses_dram() {
+            resources.push(&mut e.dram);
+            durs.push(dram_dur);
+        }
+        let src = spad_of(port_to_compact(route.src));
+        let dst = spad_of(port_to_compact(route.dst));
+        if let Some(si) = src {
+            resources.push(&mut e.spad_ports[si]);
+            durs.push(icn_dur);
+        }
+        for lane in e.icn.lanes_mut(src, dst) {
+            resources.push(lane);
+            durs.push(icn_dur);
+        }
+        resources.push(&mut e.dmas[dma]);
+        durs.push(dma_dur);
+
+        let (start, end) = if e.dram_outages.is_some() && route.uses_dram() {
+            // The blackout gate sits between the joint earliest-start fold
+            // and the reservations, so `reserve_joint` is inlined here.
+            let mut start = resources.iter().fold(now, |acc, r| acc.max(r.earliest_start(now)));
+            start = gate_dram_start(&mut e.dram_outages, &e.tracer, start);
+            let mut end = start;
+            for (r, &d) in resources.iter_mut().zip(&durs) {
+                end = end.max(r.reserve_from(now, start, d).1);
+            }
+            (start, end)
+        } else {
+            reserve_joint(&mut resources, &durs, now)
+        };
+        e.icn.note_busy(start, start + icn_dur);
+        end
+    }
+
+    /// Begins every `(route, bytes, dma, at)` transfer of `plan` on
+    /// `fast` and drives them to completion, then replays each chunk the
+    /// engine issued — in issue order, at its issue time — through
+    /// [`issue_chunk_reference`] on `reference`, asserting every chunk
+    /// completes at the same instant. Returns the transfers' end times.
+    fn replay_against_reference(
+        fast: &mut TransferEngine,
+        reference: &mut TransferEngine,
+        plan: &[(Route, u64, usize, Time)],
+    ) -> Vec<Time> {
+        // (transfer index, issue time, completion time) per issued chunk.
+        let mut issued = Vec::new();
+        let starts: Vec<(TransferId, Time)> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(route, bytes, dma, at))| {
+                let (id, first) = fast.begin(route, bytes, dma, at);
+                issued.push((i, at, first));
+                (id, first)
+            })
+            .collect();
+        let ends = drive_concurrent_logged(fast, starts, &mut issued);
+        let mut remaining: Vec<u64> = plan.iter().map(|p| p.1).collect();
+        for (n, &(i, now, end)) in issued.iter().enumerate() {
+            let (route, _, dma, _) = plan[i];
+            let chunk = remaining[i].min(fast.config.chunk_bytes);
+            remaining[i] -= chunk;
+            let want = issue_chunk_reference(reference, route, dma, chunk, now);
+            assert_eq!(end, want, "chunk {n} of transfer {i} issued at {now}");
+        }
+        assert!(remaining.iter().all(|&r| r == 0));
+        ends
+    }
 
     fn drive(engine: &mut TransferEngine, id: TransferId, mut t: Time) -> (Time, Time, u64) {
         loop {
@@ -688,6 +690,16 @@ mod tests {
     /// returning each transfer's end time, positionally aligned with
     /// `starts` — indexed slots instead of a per-call map allocation.
     fn drive_concurrent(engine: &mut TransferEngine, starts: Vec<(TransferId, Time)>) -> Vec<Time> {
+        drive_concurrent_logged(engine, starts, &mut Vec::new())
+    }
+
+    /// [`drive_concurrent`], appending `(transfer index, issue time,
+    /// completion time)` to `issued` for every chunk the engine issues.
+    fn drive_concurrent_logged(
+        engine: &mut TransferEngine,
+        starts: Vec<(TransferId, Time)>,
+        issued: &mut Vec<(usize, Time, Time)>,
+    ) -> Vec<Time> {
         let mut queue = relief_sim::EventQueue::new();
         for (i, (id, t)) in starts.iter().enumerate() {
             queue.push(*t, (i, *id));
@@ -695,7 +707,10 @@ mod tests {
         let mut ends: Vec<Option<Time>> = vec![None; starts.len()];
         while let Some((now, (i, id))) = queue.pop() {
             match engine.on_chunk_done(id, now) {
-                Progress::Chunk(next) => queue.push(next, (i, id)),
+                Progress::Chunk(next) => {
+                    issued.push((i, now, next));
+                    queue.push(next, (i, id));
+                }
                 Progress::Done { end, .. } => ends[i] = Some(end),
             }
         }
@@ -805,10 +820,10 @@ mod tests {
         }
     }
 
-    /// The allocation-free chunk path and the reference path must produce
-    /// identical reservations: same per-transfer outcomes, same resource
-    /// stats, same occupancy — on bus and crossbar, full and partial
-    /// chunks, contended and not.
+    /// The allocation-free chunk path and the reference reservation must
+    /// agree chunk for chunk — on bus and crossbar, full and partial
+    /// chunks, contended and not — and leave identical resource stats
+    /// and occupancy behind.
     #[test]
     fn fast_and_reference_paths_are_equivalent() {
         for crossbar in [false, true] {
@@ -819,28 +834,16 @@ mod tests {
             };
             let mut fast = TransferEngine::new(cfg, 4);
             let mut reference = TransferEngine::new(cfg, 4);
-            reference.set_reference_alloc_path(true);
             // Mixed routes, sizes that exercise partial trailing chunks
             // and zero-byte completion, staggered starts for contention.
             let plan = [
-                (Route { src: Port::Dram, dst: Port::Spad(0) }, 65_536, 0, 0),
-                (Route { src: Port::Spad(0), dst: Port::Spad(1) }, 10_000, 1, 2),
-                (Route { src: Port::Spad(1), dst: Port::Dram }, 4_097, 1, 5),
-                (Route { src: Port::Spad(2), dst: Port::Spad(3) }, 0, 3, 5),
-                (Route { src: Port::Dram, dst: Port::Spad(2) }, 123, 2, 7),
+                (Route { src: Port::Dram, dst: Port::Spad(0) }, 65_536, 0, Time::from_us(0)),
+                (Route { src: Port::Spad(0), dst: Port::Spad(1) }, 10_000, 1, Time::from_us(2)),
+                (Route { src: Port::Spad(1), dst: Port::Dram }, 4_097, 1, Time::from_us(5)),
+                (Route { src: Port::Spad(2), dst: Port::Spad(3) }, 0, 3, Time::from_us(5)),
+                (Route { src: Port::Dram, dst: Port::Spad(2) }, 123, 2, Time::from_us(7)),
             ];
-            let mut outcomes = Vec::new();
-            for e in [&mut fast, &mut reference] {
-                let starts: Vec<(TransferId, Time)> = plan
-                    .iter()
-                    .map(|&(route, bytes, dma, at_us)| {
-                        e.begin(route, bytes, dma, Time::from_us(at_us))
-                    })
-                    .collect();
-                let ends = drive_concurrent(e, starts.clone());
-                outcomes.push((starts, ends));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "crossbar={crossbar}");
+            replay_against_reference(&mut fast, &mut reference, &plan);
             assert_eq!(fast.dram_busy(), reference.dram_busy(), "crossbar={crossbar}");
             assert_eq!(
                 fast.interconnect_busy(),
@@ -856,31 +859,26 @@ mod tests {
                 assert_eq!(a.stats(), b.stats());
             }
             assert_eq!(fast.icn.total_queued(), reference.icn.total_queued());
-            assert_eq!(fast.dram_read_bytes(), reference.dram_read_bytes());
-            assert_eq!(fast.dram_write_bytes(), reference.dram_write_bytes());
-            assert_eq!(fast.spad_to_spad_bytes(), reference.spad_to_spad_bytes());
         }
     }
 
     #[test]
     fn dram_outage_gate_delays_chunk_starts_identically_on_both_paths() {
         let windows = vec![(0u64, 1_000_000u64), (3_000_000, 3_500_000)];
-        let run = |reference: bool| {
+        let engine = || {
             let mut e = TransferEngine::new(MemConfig::default(), 2);
-            e.set_reference_alloc_path(reference);
             e.set_dram_outages(Box::new(windows.clone().into_iter()));
-            let (a, fa) =
-                e.begin(Route { src: Port::Dram, dst: Port::Spad(0) }, 20_000, 0, Time::ZERO);
-            let (b, fb) =
-                e.begin(Route { src: Port::Spad(0), dst: Port::Spad(1) }, 8_192, 1, Time::ZERO);
-            let ends = drive_concurrent(&mut e, vec![(a, fa), (b, fb)]);
-            (ends, e.channel_outages_applied(), e.dram_busy())
+            e
         };
-        let (fast_ends, fast_applied, fast_busy) = run(false);
-        let (ref_ends, ref_applied, ref_busy) = run(true);
-        assert_eq!(fast_ends, ref_ends);
-        assert_eq!(fast_applied, ref_applied);
-        assert_eq!(fast_busy, ref_busy);
+        let (mut fast, mut reference) = (engine(), engine());
+        let plan = [
+            (Route { src: Port::Dram, dst: Port::Spad(0) }, 20_000, 0, Time::ZERO),
+            (Route { src: Port::Spad(0), dst: Port::Spad(1) }, 8_192, 1, Time::ZERO),
+        ];
+        let fast_ends = replay_against_reference(&mut fast, &mut reference, &plan);
+        let fast_applied = fast.channel_outages_applied();
+        assert_eq!(fast_applied, reference.channel_outages_applied());
+        assert_eq!(fast.dram_busy(), reference.dram_busy());
         // The first window covers t=0, so the DRAM read cannot start
         // before 1us; the SPAD forward is not gated.
         assert!(fast_applied >= 1, "window at t=0 must delay the DRAM read");

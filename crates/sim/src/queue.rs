@@ -68,13 +68,11 @@
 //! boundaries are half-open. Hence the `near` heap — which orders by the
 //! full key — always surfaces the global `(time, seq)` minimum, and the
 //! pop sequence is identical to a total sort of the push stream. The
-//! `queue::tests` property suite pins this against a [`BinaryHeap`]
+//! `queue::tests` property suite pins this against a `BinaryHeap`
 //! oracle, including same-instant requeues.
 
 use crate::time::Time;
 use relief_trace::{EventKind, Tracer};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Number of calendar bins. A power of two keeps index arithmetic to a
 /// shift; 256 bins cover the pending-event populations the SoC model
@@ -107,25 +105,6 @@ struct Entry<E> {
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, on ties, the
-        // first-inserted) entry surfaces first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A priority queue of timed events with deterministic FIFO tie-breaking.
 ///
 /// Events scheduled for the same instant are delivered in insertion order,
@@ -150,9 +129,6 @@ pub struct EventQueue<E> {
     /// `sort_unstable` beats heapify-then-N-sift-downs, and the drain
     /// side becomes O(1) per event).
     near: Vec<Entry<E>>,
-    /// Reference-mode storage: the pre-calendar binary heap, exercised
-    /// only by [`EventQueue::reference`] queues.
-    heap: BinaryHeap<Entry<E>>,
     /// Rung 2: the calendar window (unsorted bins).
     buckets: Vec<Vec<Entry<E>>>,
     /// Rung 3: events at or beyond the window end (unsorted).
@@ -174,10 +150,6 @@ pub struct EventQueue<E> {
     /// Whether the calendar is engaged (see "Adaptive engagement"). While
     /// false, every event lives in `near` and the queue is a plain heap.
     engaged: bool,
-    /// Routes everything through `near` alone — the pre-calendar
-    /// [`BinaryHeap`] implementation, kept as the wall-clock benchmark's
-    /// reference cost model (behaviour is identical either way).
-    reference_heap: bool,
     next_seq: u64,
     popped: u64,
     tracer: Tracer,
@@ -188,7 +160,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             near: Vec::new(),
-            heap: BinaryHeap::new(),
             buckets: Vec::new(), // allocated lazily on the first window rebuild
             overflow: Vec::new(),
             spill: Vec::new(),
@@ -198,19 +169,10 @@ impl<E> EventQueue<E> {
             in_buckets: 0,
             len: 0,
             engaged: false,
-            reference_heap: false,
             next_seq: 0,
             popped: 0,
             tracer: Tracer::off(),
         }
-    }
-
-    /// Creates an empty queue that runs on the pre-calendar binary-heap
-    /// path. Pop order is identical to [`EventQueue::new`] by
-    /// construction; only the host-side cost differs. Used by the
-    /// wall-clock benchmark's reference mode.
-    pub fn reference() -> Self {
-        EventQueue { reference_heap: true, ..EventQueue::new() }
     }
 
     /// Attaches a tracer; every subsequent [`EventQueue::pop`] emits an
@@ -240,10 +202,6 @@ impl<E> EventQueue<E> {
         let seq = self.draw_seq();
         let entry = Entry { at, seq, event };
         self.len += 1;
-        if self.reference_heap {
-            self.heap.push(entry);
-            return;
-        }
         if !self.engaged {
             // Heap mode: everything lives in `near`.
             self.insert_near(entry);
@@ -390,7 +348,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Time, E)> {
         // The sorted rung keeps the minimum at the back, so the common
         // case is a branch-free `Vec::pop`; the miss path is the cold
-        // replenish (or, for reference queues, the heap).
+        // replenish.
         let e = match self.near.pop() {
             Some(e) => e,
             None => self.pop_refill()?,
@@ -403,13 +361,10 @@ impl<E> EventQueue<E> {
     }
 
     /// The `near`-empty slow path of [`EventQueue::pop`] /
-    /// [`EventQueue::pop_cohort`]: reference queues pop their heap,
-    /// engaged calendars promote the next bin.
+    /// [`EventQueue::pop_cohort`]: engaged calendars promote the next
+    /// bin.
     #[cold]
     fn pop_refill(&mut self) -> Option<Entry<E>> {
-        if self.reference_heap {
-            return self.heap.pop();
-        }
         if !self.engaged {
             return None;
         }
@@ -475,9 +430,6 @@ impl<E> EventQueue<E> {
     /// The `near`-empty slow path of [`EventQueue::head_key`].
     #[cold]
     fn head_key_refill(&mut self) -> u128 {
-        if self.reference_heap {
-            return self.heap.peek().map_or(u128::MAX, |e| pack_key(e.at, e.seq));
-        }
         if self.engaged {
             self.replenish_near();
         }
@@ -503,9 +455,6 @@ impl<E> EventQueue<E> {
     /// hot-path consumer).
     pub fn peek_time(&self) -> Option<Time> {
         if let Some(e) = self.near.last() {
-            return Some(e.at);
-        }
-        if let Some(e) = self.heap.peek() {
             return Some(e.at);
         }
         for bin in self.buckets.iter().skip(self.cur_bucket + 1) {
@@ -548,7 +497,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.len)
             .field("dispatched", &self.popped)
-            .field("reference_heap", &self.reference_heap)
             .finish()
     }
 }
@@ -557,6 +505,30 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The textbook event queue the calendar must match pop for pop: a
+    /// min-heap on `(time, seq)` with its own sequence counter.
+    #[derive(Default)]
+    struct HeapOracle<E: Ord> {
+        heap: BinaryHeap<Reverse<(Time, u64, E)>>,
+        next_seq: u64,
+        popped: u64,
+    }
+
+    impl<E: Ord> HeapOracle<E> {
+        fn push(&mut self, at: Time, event: E) {
+            self.heap.push(Reverse((at, self.next_seq, event)));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Time, E)> {
+            let Reverse((at, _, event)) = self.heap.pop()?;
+            self.popped += 1;
+            Some((at, event))
+        }
+    }
 
     #[test]
     fn orders_by_time() {
@@ -693,16 +665,16 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Drives the calendar queue and the reference heap through an
-    /// identical randomized (time, seq) stream — bursty times, duplicate
-    /// instants, interleaved pops, same-instant requeues — and asserts
-    /// the pop sequences match exactly.
+    /// Drives the calendar queue and a [`BinaryHeap`] oracle keyed on
+    /// `(time, seq)` through an identical randomized stream — bursty
+    /// times, duplicate instants, interleaved pops, same-instant
+    /// requeues — and asserts the pop sequences match exactly.
     #[test]
     fn property_matches_binary_heap_oracle() {
         for seed in 0..20u64 {
             let mut rng = SplitMix64::new(0xCA1E_4DA8 ^ seed);
             let mut cal = EventQueue::new();
-            let mut oracle = EventQueue::reference();
+            let mut oracle = HeapOracle::default();
             let mut last_popped = 0u64;
             let mut pending = 0i64;
             for step in 0..4000u32 {
@@ -744,8 +716,8 @@ mod tests {
                     other => panic!("drain mismatch: {other:?}"),
                 }
             }
-            assert_eq!(cal.dispatched(), oracle.dispatched());
-            assert_eq!(cal.scheduled(), oracle.scheduled());
+            assert_eq!(cal.dispatched(), oracle.popped);
+            assert_eq!(cal.scheduled(), oracle.next_seq);
         }
     }
 
@@ -809,9 +781,9 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_matches_new_path_on_simple_stream() {
+    fn matches_binary_heap_oracle_on_simple_stream() {
         let mut a = EventQueue::new();
-        let mut b = EventQueue::reference();
+        let mut b = HeapOracle::default();
         for i in (0..200u64).rev() {
             a.push(Time::from_ns(i / 3), i);
             b.push(Time::from_ns(i / 3), i);

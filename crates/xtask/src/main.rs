@@ -41,16 +41,16 @@
 //!    fault domains, circuit breakers, timeouts and hedges, the
 //!    simulation watchdog, and the campaign-cache round trip),
 //!    `queue_equivalence`,
-//!    `soa_equivalence` (the optimised hot path against its own
-//!    reference implementation, bit for bit, under all eleven policies,
-//!    twenty seeds, faults, and service mode),
-//!    `recycling_equivalence` (generational instance recycling against
-//!    the never-retiring reference path: bit-exact stats/traces, stale
-//!    timeouts dropped on recycled slots, bounded-memory mode
-//!    observation-only), `dispatch_equivalence` (the chunk lane's
-//!    merged dispatch against queue-only dispatch: watchdog trips,
-//!    stale completions of cancelled transfers, time-limit
-//!    truncation), and `oracle_conformance`
+//!    `soa_equivalence` (the hot path pinned bit for bit to committed
+//!    FNV-1a digests of stats, accounting, prediction samples and
+//!    traces, under all eleven policies, twenty seeds, faults, and
+//!    service mode), `recycling_equivalence` (generational instance
+//!    recycling pinned to digests likewise: stale timeouts dropped on
+//!    recycled slots, live-slot high-water below launched instances,
+//!    bounded-memory mode observation-only), `dispatch_equivalence`
+//!    (the chunk lane's merged dispatch pinned to digests of the full
+//!    trace text: watchdog trips, stale completions of cancelled
+//!    transfers, time-limit truncation), and `oracle_conformance`
 //!    (the ahead-of-time scheduling bound: oracle ≤ every online
 //!    policy, prediction = replay bit-exactly, beam-width monotonicity,
 //!    recorded-run replay differentials).
@@ -61,15 +61,16 @@
 //!    timed beside every pass so host speed cancels), must stay within
 //!    10 % of the committed median of that ratio; absolute ns/event is
 //!    printed and recorded alongside (skipped with a notice when no
-//!    baseline is committed).
+//!    baseline is committed). A reduced soak is gated the same way, at
+//!    60 %, against the newest committed `+soak` trajectory entry.
 //!
 //! `check --suite <name>[,<name>...]` runs a subset of those steps by
 //! name (see `check --list-suites` for the names); everything else is
 //! skipped. Unknown names abort with the list of valid ones.
 //!
 //! `bench` (release) measures the simulation hot path over a pinned
-//! campaign subset — optimised vs the `reference_hot_path` cost model —
-//! writes `BENCH_simcore.json` at the repo root, and appends the run's
+//! campaign subset beside the calibration kernel, writes
+//! `BENCH_simcore.json` (schema v3) at the repo root, and appends the run's
 //! medians to the `BENCH_trajectory.json` history (see README.md).
 //! Extra arguments (`--iters N`, `--out PATH`, `--check`,
 //! `--tolerance PCT`, `--service`, `--events`, `--soak`, `--smoke`,
@@ -79,9 +80,10 @@
 //! `bench --events` times the calendar-queue cohort-pop microbench
 //! alone, appending a `+events` entry, and `bench --soak` drives the
 //! million-request bounded-memory MMPP soak, appending a `+soak` entry
-//! that also records peak RSS and the live-slot high-water mark
-//! (trajectory schema v2). `bench --check` additionally gates a reduced
-//! soak against the committed `+soak` entry and the live-set bound.
+//! that also records peak RSS, the live-slot high-water mark and the
+//! calibration kernel's ms. `bench --check` additionally gates a reduced
+//! soak against the committed `+soak` entry and the live-set bound;
+//! `--check` does not combine with the other modes.
 //!
 //! Exit code is nonzero if any executed step fails.
 

@@ -206,6 +206,9 @@ fn parse_args() -> Result<Args, String> {
             "--partitions" => {
                 let v = it.next().ok_or("--partitions needs a value")?;
                 args.partitions = v.parse().map_err(|_| format!("bad --partitions '{v}'"))?;
+                if args.partitions == 0 {
+                    return Err("--partitions must be at least 1".into());
+                }
             }
             "--trace-out" => {
                 let v = it.next().ok_or("--trace-out needs a value")?;

@@ -1,80 +1,63 @@
-//! Hot-path equivalence suite: `SocConfig::reference_hot_path` restores
-//! the pre-optimisation *host* costs (BinaryHeap event core, string-keyed
-//! compute predictions, linear consumer scans) and must not change one
-//! bit of *simulated* behaviour. Every optimisation that the wall-clock
-//! benchmark credits — the calendar event queue, interned kind ids, the
-//! carried consumer index — is therefore validated here against its own
-//! reference implementation on real workloads:
+//! Hot-path equivalence suite: the calendar event queue, interned kind
+//! ids and the carried consumer index must not change one bit of
+//! *simulated* behaviour. Each cell's observable outcome is pinned to a
+//! committed digest (see `common`) that was captured while the
+//! pre-optimisation implementations ran beside the optimised ones and
+//! agreed on every cell:
 //!
 //! 1. **Policy sweep** — all eight fairness-study policies over a pinned
-//!    high-contention mix produce byte-identical `RunStats`, identical
-//!    per-app accounting, identical prediction samples, identical
-//!    executed-task traces, and the same event count on both paths.
+//!    high-contention mix: `RunStats`, per-app accounting, prediction
+//!    samples, executed-task traces, and the event count.
 //! 2. **Fault recovery** — with task faults, DMA faults, and unit
 //!    outages injected (requeues at the current instant plus far-future
-//!    repair events, the calendar queue's hardest traffic), both paths
-//!    still agree exactly.
+//!    repair events, the calendar queue's hardest traffic).
 //! 3. **Continuous contention** — the 50 ms time-limited repeat path
-//!    agrees under the paper's policy and the FCFS baseline.
+//!    under the paper's policy and the FCFS baseline.
 
+mod common;
+
+use common::Digests;
 use relief::bench::config_for;
 use relief::prelude::*;
-use relief_accel::SimResult;
 
 const ALL_POLICIES: [PolicyKind; 8] = PolicyKind::ALL;
 
-/// Runs `cfg` over `workload` on the optimised and the reference hot
-/// path and asserts the two `SimResult`s are observationally identical.
-fn assert_paths_agree(mut cfg: SocConfig, workload: &[AppSpec], what: &str) {
-    cfg.record_trace = true;
-    let run = |reference: bool| -> SimResult {
-        let mut cfg = cfg.clone();
-        cfg.reference_hot_path = reference;
-        SocSim::new(cfg, workload.to_vec()).run()
-    };
-    let fast = run(false);
-    let reference = run(true);
-
-    assert_eq!(
-        format!("{:?}", fast.stats),
-        format!("{:?}", reference.stats),
-        "{what}: RunStats diverged between hot paths"
-    );
-    assert_eq!(
-        fast.per_app_mem_time, reference.per_app_mem_time,
-        "{what}: per-app DMA accounting diverged"
-    );
-    assert_eq!(
-        fast.per_app_compute_time, reference.per_app_compute_time,
-        "{what}: per-app compute accounting diverged"
-    );
-    assert_eq!(
-        fast.prediction.compute_rel_errors, reference.prediction.compute_rel_errors,
-        "{what}: compute-prediction samples diverged"
-    );
-    assert_eq!(
-        fast.prediction.dm_rel_errors, reference.prediction.dm_rel_errors,
-        "{what}: data-movement-prediction samples diverged"
-    );
-    assert_eq!(fast.trace, reference.trace, "{what}: executed-task traces diverged");
-    assert_eq!(
-        fast.events_dispatched, reference.events_dispatched,
-        "{what}: event counts diverged"
-    );
-}
+const HIGH_CONTENTION_MIX: &[(&str, u64)] = &[
+    ("Fcfs on high/CDG", 0xac05330c0083135d),
+    ("GedfD on high/CDG", 0x6045a9fa9b107a24),
+    ("GedfN on high/CDG", 0x63b5ea7f7fb79131),
+    ("Lax on high/CDG", 0x00a6006ae2658fbe),
+    ("ReliefLax on high/CDG", 0x1dd263709cd269ca),
+    ("Ll on high/CDG", 0xa1b1ffe1bb6c8470),
+    ("HetSched on high/CDG", 0xbac408b8209fa0dc),
+    ("Relief on high/CDG", 0x3881900fd7147b5e),
+];
+const SECOND_MIX: &[(&str, u64)] =
+    &[("Fcfs on high/CDH", 0xc0c8aa155a0db57a), ("Relief on high/CDH", 0xccd97eba84788e40)];
+const FAULT_RECOVERY: &[(&str, u64)] = &[
+    ("Fcfs with faults", 0xe8917be07533baaa),
+    ("Relief with faults", 0xf1989e2ea61685a1),
+    ("ReliefLax with faults", 0xde2d2dffd3f931c2),
+];
+const CONTINUOUS: &[(&str, u64)] = &[
+    ("Fcfs on continuous/CDG", 0x0bc2d20163c6e313),
+    ("Relief on continuous/CDG", 0x6475966df17ef594),
+];
 
 #[test]
 fn all_policies_agree_on_high_contention_mix() {
     let mixes = Contention::High.mixes();
     let mix = mixes.first().expect("high contention has mixes");
     let workload = mix.workload();
+    let mut digests = Digests::new();
     for policy in ALL_POLICIES {
-        assert_paths_agree(
+        digests.run(
             config_for(policy, Contention::High),
             &workload,
-            &format!("{policy:?} on high/{}", mix.label()),
+            format!("{policy:?} on high/{}", mix.label()),
         );
     }
+    digests.check("HIGH_CONTENTION_MIX", HIGH_CONTENTION_MIX);
 }
 
 #[test]
@@ -82,13 +65,15 @@ fn second_mix_covers_a_different_dag_shape() {
     let mixes = Contention::High.mixes();
     let mix = mixes.get(1).expect("high contention has at least two mixes");
     let workload = mix.workload();
+    let mut digests = Digests::new();
     for policy in [PolicyKind::Fcfs, PolicyKind::Relief] {
-        assert_paths_agree(
+        digests.run(
             config_for(policy, Contention::High),
             &workload,
-            &format!("{policy:?} on high/{}", mix.label()),
+            format!("{policy:?} on high/{}", mix.label()),
         );
     }
+    digests.check("SECOND_MIX", SECOND_MIX);
 }
 
 #[test]
@@ -96,6 +81,7 @@ fn fault_recovery_requeues_agree() {
     let mixes = Contention::High.mixes();
     let mix = mixes.first().expect("high contention has mixes");
     let workload = mix.workload();
+    let mut digests = Digests::new();
     for policy in [PolicyKind::Fcfs, PolicyKind::Relief, PolicyKind::ReliefLax] {
         let mut cfg = config_for(policy, Contention::High);
         cfg.fault = FaultConfig {
@@ -104,8 +90,9 @@ fn fault_recovery_requeues_agree() {
             unit_mttf_ps: 20_000_000_000, // one outage every ~20 ms
             ..FaultConfig::default()
         };
-        assert_paths_agree(cfg, &workload, &format!("{policy:?} with faults"));
+        digests.run(cfg, &workload, format!("{policy:?} with faults"));
     }
+    digests.check("FAULT_RECOVERY", FAULT_RECOVERY);
 }
 
 #[test]
@@ -113,11 +100,13 @@ fn continuous_contention_repeat_path_agrees() {
     let mixes = Contention::Continuous.mixes();
     let mix = mixes.first().expect("continuous contention has mixes");
     let workload = mix.workload();
+    let mut digests = Digests::new();
     for policy in [PolicyKind::Fcfs, PolicyKind::Relief] {
-        assert_paths_agree(
+        digests.run(
             config_for(policy, Contention::Continuous),
             &workload,
-            &format!("{policy:?} on continuous/{}", mix.label()),
+            format!("{policy:?} on continuous/{}", mix.label()),
         );
     }
+    digests.check("CONTINUOUS", CONTINUOUS);
 }

@@ -1,9 +1,11 @@
 //! Generational-instance-recycling property suite: retiring completed /
 //! aborted / cancelled DAG instances into the slot allocator — and
 //! recycling their `NodeRt` vectors through the per-app pools — must be
-//! *observationally invisible*. `SocConfig::reference_hot_path` keeps
-//! every instance alive forever (slot == admission serial throughout),
-//! and this suite pins the recycling path bit-exact against it:
+//! *observationally invisible*. This suite pins every cell to a committed
+//! digest (see `common`), captured while a never-retiring path (slot ==
+//! admission serial throughout) ran beside the recycling one and agreed
+//! bit for bit. Each digest also pins the cell's live-slot high-water
+//! mark:
 //!
 //! 1. **Seed × policy rotation** — twenty distinct simulation seeds
 //!    rotated through all eleven policies, with deterministic fault
@@ -14,83 +16,57 @@
 //!    Completed requests leave armed `Ev::Timeout`s behind; those fire
 //!    after the slot has been recycled and must be recognised as stale
 //!    (serial mismatch) and dropped, not cancel the new tenant.
-//! 3. **Recycling actually engages** — the recycling path's live-slot
-//!    high-water mark stays strictly below the reference path's (which
-//!    equals total admissions), so the equivalence above is not running
-//!    with retirement accidentally disabled.
+//! 3. **Recycling actually engages** — in service mode the live-slot
+//!    high-water mark stays strictly below the run's launched instances
+//!    (admissions plus hedges: what a never-retiring run would hold), so
+//!    the equivalence above is not running with retirement accidentally
+//!    disabled.
 //! 4. **Bounded-memory mode is observation-only** — dropping the
 //!    O(completed-instances) prediction/runtime samples must not move
 //!    one simulated event.
 
+mod common;
+
+use common::{cgl_apps, Digests};
 use relief::bench::config_for;
 use relief::prelude::*;
 use relief_accel::SimResult;
 use relief_service::{AdmissionConfig, SelfHealConfig, StreamConfig, TenantCfg};
 
-/// All eleven schedulable policies: the fairness-study eight plus the
-/// heterogeneity/throttling/adaptive extensions.
-fn eleven_policies() -> Vec<PolicyKind> {
-    let all: Vec<PolicyKind> =
-        PolicyKind::ALL.iter().chain(PolicyKind::EXTENSIONS.iter()).copied().collect();
-    assert_eq!(all.len(), 11);
-    all
-}
+const TWENTY_SEEDS: &[(&str, u64)] = &[
+    ("seed 0 Fcfs", 0xf9e8a119f7430ff5),
+    ("seed 1 GedfD", 0x39896f62b95a38f4),
+    ("seed 2 GedfN +faults", 0xf08c31d48676315a),
+    ("seed 3 Lax", 0x7d1a9d6c858c3089),
+    ("seed 4 ReliefLax", 0x66a4e8dbaa990fca),
+    ("seed 5 Ll +faults", 0xc43a4558ee73213f),
+    ("seed 6 HetSched", 0x8c7a39f144915962),
+    ("seed 7 Relief", 0x903540cdcef99c6e),
+    ("seed 8 ReliefHet +faults", 0x591dcc9cc6765423),
+    ("seed 9 ReliefUnthrottled", 0x811f166f857864bf),
+    ("seed 10 Adaptive", 0x6fb5da4a5d101b01),
+    ("seed 11 Fcfs +faults", 0xb195f2d7d566029d),
+    ("seed 12 GedfD", 0x7e17360ebf7c4168),
+    ("seed 13 GedfN", 0xa0b7acad34da6f18),
+    ("seed 14 Lax +faults", 0xe96bf0eb2e0c978b),
+    ("seed 15 ReliefLax", 0x76235d5a39cd42fe),
+    ("seed 16 Ll", 0xe1a2e1221ed1d0b9),
+    ("seed 17 HetSched +faults", 0x43580be1f813ae75),
+    ("seed 18 Relief", 0x9bd337dfdbf2b80d),
+    ("seed 19 ReliefHet", 0xa26479bda8d4c33d),
+];
+const SERVICE_SELF_HEALING: &[(&str, u64)] = &[
+    ("service seed 0x4ec50001 Relief", 0x199488f69a1ccdd5),
+    ("service seed 0x4ec50002 Fcfs", 0xa14b4f6374a22c67),
+    ("service seed 0x4ec50003 Adaptive", 0x8eb2c212f05f9e7c),
+];
 
-/// Runs `cfg` over `workload` on the recycling (default) and the
-/// reference hot path, asserts the two `SimResult`s are observationally
-/// identical, and returns them for lifecycle assertions.
-fn assert_paths_agree(
-    mut cfg: SocConfig,
-    workload: &[AppSpec],
-    what: &str,
-) -> (SimResult, SimResult) {
-    cfg.record_trace = true;
-    let run = |reference: bool| -> SimResult {
-        let mut cfg = cfg.clone();
-        cfg.reference_hot_path = reference;
-        SocSim::new(cfg, workload.to_vec()).run()
-    };
-    let fast = run(false);
-    let reference = run(true);
-
-    assert_eq!(
-        format!("{:?}", fast.stats),
-        format!("{:?}", reference.stats),
-        "{what}: RunStats diverged under instance recycling"
-    );
-    assert_eq!(
-        fast.per_app_mem_time, reference.per_app_mem_time,
-        "{what}: per-app DMA accounting diverged"
-    );
-    assert_eq!(
-        fast.per_app_compute_time, reference.per_app_compute_time,
-        "{what}: per-app compute accounting diverged"
-    );
-    assert_eq!(
-        fast.prediction.compute_rel_errors, reference.prediction.compute_rel_errors,
-        "{what}: compute-prediction samples diverged"
-    );
-    assert_eq!(
-        fast.prediction.dm_rel_errors, reference.prediction.dm_rel_errors,
-        "{what}: data-movement-prediction samples diverged (retirement fold broke ordering?)"
-    );
-    assert_eq!(
-        fast.prediction.bw_rel_errors, reference.prediction.bw_rel_errors,
-        "{what}: bandwidth-prediction samples diverged"
-    );
-    assert_eq!(fast.trace, reference.trace, "{what}: executed-task traces diverged");
-    assert_eq!(
-        fast.events_dispatched, reference.events_dispatched,
-        "{what}: event counts diverged"
-    );
-    assert!(
-        fast.live_high_water <= reference.live_high_water,
-        "{what}: recycling path held more live slots ({}) than never-retiring \
-         reference ({})",
-        fast.live_high_water,
-        reference.live_high_water
-    );
-    (fast, reference)
+/// Runs one cell and records its digest, with the live-slot high-water
+/// mark pinned beside the observable outcome.
+fn run(cfg: SocConfig, workload: &[AppSpec], what: String, digests: &mut Digests) -> SimResult {
+    let r = common::run(cfg, workload);
+    digests.record_run(what, &r, &format!("live_high_water {}\n", r.live_high_water));
+    r
 }
 
 /// The self-healing stack the service-mode tests stream under: breakers,
@@ -125,27 +101,19 @@ fn stream(seed: u64, rate: f64, cap: u32, duration_ms: u64) -> StreamConfig {
     }
 }
 
-/// The CGL tenant trio: one app spec per tenant, in tenant order.
-fn cgl_apps() -> Vec<AppSpec> {
-    vec![
-        AppSpec::once("C", App::Canny.dag()),
-        AppSpec::once("G", App::Gru.dag()),
-        AppSpec::once("L", App::Lstm.dag()),
-    ]
-}
-
 /// Twenty seeds rotated across all eleven policies on a closed-loop
 /// low-contention mix, with deterministic task/DMA faults folded into
 /// every third seed so the abort path (first-fault instance retirement)
 /// recycles slots mid-run.
 #[test]
 fn twenty_seeds_rotate_all_eleven_policies() {
-    let eleven = eleven_policies();
+    let eleven = common::eleven_policies();
     let mixes = Contention::Low.mixes();
     // The second mix, so this suite's coverage differs from
     // soa_equivalence (which sweeps the first).
     let mix = mixes.get(1).expect("low contention has at least two mixes");
     let workload = mix.workload();
+    let mut digests = Digests::new();
     for seed in 0..20u64 {
         let policy = eleven[(seed as usize) % eleven.len()];
         let mut cfg = config_for(policy, Contention::Low);
@@ -161,19 +129,21 @@ fn twenty_seeds_rotate_all_eleven_policies() {
             });
             what.push_str(" +faults");
         }
-        assert_paths_agree(cfg, &workload, &what);
+        run(cfg, &workload, what, &mut digests);
     }
+    digests.check("TWENTY_SEEDS", TWENTY_SEEDS);
 }
 
 /// Open-loop service mode with the full self-healing stack and fault
 /// injection: timeouts cancel and hedge instances (exercising stale
 /// `Ev::Timeout`s on recycled slots), breakers shed, and the stream
 /// admits far more requests than are ever concurrently live. The
-/// recycling path must agree bit-for-bit *and* demonstrably recycle:
-/// its live-slot high-water mark stays strictly below the reference
-/// path's total-admissions count.
+/// recycling path must match its digests *and* demonstrably recycle:
+/// its live-slot high-water mark stays strictly below the run's launched
+/// instances (admissions plus hedges).
 #[test]
 fn service_mode_with_self_healing_recycles_and_agrees() {
+    let mut digests = Digests::new();
     for &(seed, rate, policy) in &[
         (0x4EC5_0001u64, 1_500.0, PolicyKind::Relief),
         (0x4EC5_0002, 2_000.0, PolicyKind::Fcfs),
@@ -191,23 +161,25 @@ fn service_mode_with_self_healing_recycles_and_agrees() {
             ..FaultConfig::default()
         });
         let what = format!("service seed {seed:#x} {policy:?}");
-        let (fast, reference) = assert_paths_agree(cfg, &cgl_apps(), &what);
+        let r = run(cfg, &cgl_apps(), what.clone(), &mut digests);
 
-        let svc = &fast.stats.service;
+        let svc = &r.stats.service;
         assert!(svc.completed() > 0, "{what}: no request completed");
         assert!(
             svc.timed_out() > 0,
             "{what}: no request timed out — the stale-timeout path was not exercised"
         );
-        // Reference mode never retires, so its high-water mark equals
-        // total admissions; recycling must stay strictly below it.
+        // Without retirement every launched instance — each admitted
+        // request plus each hedge — would hold its slot to the end;
+        // recycling must stay strictly below that count.
+        let launched = svc.admitted() + svc.hedged();
         assert!(
-            fast.live_high_water < reference.live_high_water,
-            "{what}: recycling never engaged (live high-water {} vs {} admissions)",
-            fast.live_high_water,
-            reference.live_high_water
+            r.live_high_water < launched,
+            "{what}: recycling never engaged (live high-water {} vs {launched} launched instances)",
+            r.live_high_water,
         );
     }
+    digests.check("SERVICE_SELF_HEALING", SERVICE_SELF_HEALING);
 }
 
 /// Bounded-memory mode (the soak bench's observation diet) drops the
@@ -217,8 +189,8 @@ fn service_mode_with_self_healing_recycles_and_agrees() {
 #[test]
 fn bounded_memory_is_observation_only() {
     let build = |bounded: bool| {
-        let mut cfg = SocConfig::mobile(PolicyKind::Relief)
-            .with_stream(stream(0x4EC5_00B1, 1_200.0, 10, 10));
+        let mut cfg =
+            SocConfig::mobile(PolicyKind::Relief).with_stream(stream(0x4EC5_00B1, 1_200.0, 10, 10));
         cfg.bounded_memory = bounded;
         SocSim::new(cfg, cgl_apps()).run()
     };
