@@ -4,19 +4,17 @@
 //! documented in README.md).
 //!
 //! ```text
-//! simcore_bench [--iters N] [--out PATH] [--check] [--tolerance PCT] [--service] [--events]
+//! simcore_bench [--iters N] [--out PATH] [--check] [--tolerance PCT] [--service]
 //!               [--soak [--smoke] [--jobs N]]
 //! ```
 //!
 //! `--service` measures the pinned service-mode subset instead (the
 //! open-loop Poisson stream at ~80% utilisation, see
 //! [`walltime::SERVICE_SUBSET`]) and appends its medians to the
-//! trajectory history under a `+service` label; `--events` times the
-//! calendar-queue cohort-pop microbench alone (no simulator handlers,
-//! see [`walltime::EVENTS_SUBSET`]) under a `+events` label. Either
-//! mode writes no `BENCH_simcore.json` and runs no regression gate: the
-//! closed-loop subset stays the committed baseline, the service entry is
-//! a second trajectory series.
+//! trajectory history under a `+service` label. It writes no
+//! `BENCH_simcore.json` and runs no regression gate: the closed-loop
+//! subset stays the committed baseline, the service entry is a second
+//! trajectory series.
 //!
 //! `--soak` runs the million-request MMPP soak ([`soak::SoakSpec`]) in
 //! bounded-memory mode: the live-slot high-water mark is hard-gated
@@ -63,7 +61,6 @@ fn main() -> ExitCode {
     let mut out: Option<String> = None;
     let mut check = false;
     let mut service = false;
-    let mut events = false;
     let mut soak = false;
     let mut smoke = false;
     let mut jobs = 1usize;
@@ -81,7 +78,6 @@ fn main() -> ExitCode {
             },
             "--check" => check = true,
             "--service" => service = true,
-            "--events" => events = true,
             "--soak" => soak = true,
             "--smoke" => smoke = true,
             "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
@@ -105,7 +101,7 @@ fn main() -> ExitCode {
     if smoke && !soak {
         return usage("--smoke only applies to --soak");
     }
-    let modes = [(service, "--service"), (events, "--events"), (soak, "--soak")];
+    let modes = [(service, "--service"), (soak, "--soak")];
     let mut chosen = modes.iter().filter(|(on, _)| *on).map(|&(_, name)| name);
     if let Some(first) = chosen.next() {
         if let Some(second) = chosen.next() {
@@ -117,9 +113,6 @@ fn main() -> ExitCode {
     }
     if soak {
         return run_soak(smoke, jobs, &trajectory_path(&out));
-    }
-    if events {
-        return run_events(iters, &trajectory_path(&out));
     }
     if service {
         return run_service(iters, &trajectory_path(&out));
@@ -319,32 +312,6 @@ fn run_soak(smoke: bool, jobs: usize, trajectory: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--events` mode: time the calendar-queue cohort-pop microbench
-/// (no simulator handler work, just `pop_cohort` + refill on a synthetic
-/// stream) and append one `<rev>+events` entry to the trajectory
-/// history. No `BENCH_simcore.json` is written and no gate runs: like
-/// `--service`, this is a second trajectory series.
-fn run_events(iters: u32, trajectory: &str) -> ExitCode {
-    let report = walltime::measure_events(iters);
-    println!(
-        "events bench ({}): {} events/iter, {} iters",
-        walltime::EVENTS_SUBSET,
-        report.events_per_iter,
-        report.iters
-    );
-    print_path(&report.optimized);
-    let label = format!("{}+events", revision_label());
-    let entry = walltime::TrajectoryEntry::from_report(&label, &report);
-    let history = std::fs::read_to_string(trajectory).ok();
-    let body = walltime::append_trajectory(history.as_deref(), &entry);
-    if let Err(e) = std::fs::write(trajectory, body) {
-        eprintln!("simcore_bench: cannot write {trajectory}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("  appended entry '{label}' to {trajectory}");
-    ExitCode::SUCCESS
-}
-
 /// The `--service` mode: time the service-mode subset and append one
 /// `<rev>+service` entry to the trajectory history.
 fn run_service(iters: u32, trajectory: &str) -> ExitCode {
@@ -404,7 +371,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("simcore_bench: {err}");
     eprintln!(
         "usage: simcore_bench [--iters N] [--out PATH] [--check] [--tolerance PCT] \
-         [--service] [--events] [--soak [--smoke] [--jobs N]]"
+         [--service] [--soak [--smoke] [--jobs N]]"
     );
     ExitCode::from(2)
 }

@@ -654,60 +654,10 @@ fn read_run_stats(r: &mut Reader) -> Option<RunStats> {
     })
 }
 
-/// `EventCounters` fields, in declaration order — the serialized layout.
-fn counter_fields(c: &EventCounters) -> [u64; 39] {
+/// Every `EventCounters` field, in declaration order — the serialized
+/// layout, shared by [`write_counters`] and [`read_counters`].
+fn counter_slots(c: &mut EventCounters) -> [&mut u64; 39] {
     [
-        c.events_dispatched,
-        c.tasks_completed,
-        c.dags_arrived,
-        c.dags_done,
-        c.dags_met,
-        c.dram_read_bytes,
-        c.dram_write_bytes,
-        c.spad_to_spad_bytes,
-        c.forwards,
-        c.colocations,
-        c.dram_inputs,
-        c.escalations_granted,
-        c.escalations_denied,
-        c.feasibility_pass,
-        c.feasibility_fail,
-        c.queue_bypasses,
-        c.writebacks,
-        c.writeback_bytes,
-        c.task_faults,
-        c.task_retries,
-        c.tasks_aborted,
-        c.dma_faults,
-        c.unit_quarantines,
-        c.unit_restores,
-        c.fault_attributed_misses,
-        c.stream_arrivals,
-        c.requests_admitted,
-        c.requests_shed_bucket,
-        c.requests_shed_capacity,
-        c.requests_completed,
-        c.ecc_faults,
-        c.dma_cancels,
-        c.channel_outages,
-        c.requests_shed_breaker,
-        c.requests_timed_out,
-        c.hedges_launched,
-        c.breaker_opens,
-        c.breaker_half_opens,
-        c.breaker_closes,
-    ]
-}
-
-fn write_counters(w: &mut Writer, c: &EventCounters) {
-    for v in counter_fields(c) {
-        w.u64(v);
-    }
-}
-
-fn read_counters(r: &mut Reader) -> Option<EventCounters> {
-    let mut c = EventCounters::default();
-    let slots: [&mut u64; 39] = [
         &mut c.events_dispatched,
         &mut c.tasks_completed,
         &mut c.dags_arrived,
@@ -747,8 +697,21 @@ fn read_counters(r: &mut Reader) -> Option<EventCounters> {
         &mut c.breaker_opens,
         &mut c.breaker_half_opens,
         &mut c.breaker_closes,
-    ];
-    for slot in slots {
+    ]
+}
+
+// A field added to `EventCounters` must be added to `counter_slots` too.
+const _: () = assert!(std::mem::size_of::<EventCounters>() == 39 * 8);
+
+fn write_counters(w: &mut Writer, c: &EventCounters) {
+    for v in counter_slots(&mut c.clone()) {
+        w.u64(*v);
+    }
+}
+
+fn read_counters(r: &mut Reader) -> Option<EventCounters> {
+    let mut c = EventCounters::default();
+    for slot in counter_slots(&mut c) {
         *slot = r.u64()?;
     }
     Some(c)

@@ -85,10 +85,6 @@ pub const SUBSET: &str =
 pub const SERVICE_SUBSET: &str =
     "4 policies x CGL Poisson stream at ~80% utilisation, 20 ms + drain";
 
-/// Description of the queue cohort-pop microbench (`xtask bench --events`).
-pub const EVENTS_SUBSET: &str =
-    "synthetic cohort stream: 2M pops at ~4k held, 1/4 duplicate times, 1/64 far-future";
-
 /// One cell of the pinned subset: a policy on a pre-built workload.
 pub struct Case {
     /// Scheduling policy under measurement.
@@ -299,91 +295,6 @@ pub fn measure(iters: u32) -> BenchReport {
 /// Same contract as [`measure`].
 pub fn measure_service(iters: u32) -> BenchReport {
     measure_cases(service_subset(), iters)
-}
-
-/// Events one `--events` pass dispatches.
-const EVENTS_PER_PASS: u64 = 2_000_000;
-
-/// Events the `--events` microbench holds pending in steady state.
-const EVENTS_HELD: u64 = 4096;
-
-/// One timed pass of the calendar-queue cohort microbench: a hold model
-/// that keeps ~[`EVENTS_HELD`] synthetic events pending, draining whole
-/// same-timestamp cohorts and refilling one push per pop. The stream is
-/// deterministic ([`SplitMix64`], fixed seed) and shaped like simulator
-/// traffic: a quarter of pushes land on an already-pending timestamp
-/// (cohort partners), 1/64 land far in the future (repair-style overflow
-/// traffic), the rest spread over the near rung.
-fn run_events_pass() -> Sample {
-    use relief_sim::{EventQueue, SplitMix64, Time};
-    let mut q: EventQueue<u32> = EventQueue::new();
-    let mut rng = SplitMix64::new(0xC0_0407);
-    let mut pushed = 0u64;
-    let mut last_at: u64 = 0;
-    let mut push = |q: &mut EventQueue<u32>, now: u64, rng: &mut SplitMix64, pushed: &mut u64| {
-        let r = rng.next_u64();
-        let delta = if r.is_multiple_of(64) {
-            // Far-future (MTTF-repair-like): lands in overflow.
-            1_000_000_000 + (r >> 8) % 1_000_000_000
-        } else if r.is_multiple_of(4) {
-            // Duplicate of the last scheduled time: forms a cohort.
-            0
-        } else {
-            // Near-rung traffic.
-            1 + (r >> 8) % 50_000
-        };
-        last_at = if delta == 0 { last_at } else { now + delta };
-        q.push(Time::from_ps(last_at), (*pushed & 0xFFFF) as u32);
-        *pushed += 1;
-    };
-    for _ in 0..EVENTS_HELD {
-        push(&mut q, 0, &mut rng, &mut pushed);
-    }
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut dispatched = 0u64;
-    let t0 = Instant::now();
-    while dispatched < EVENTS_PER_PASS {
-        let Some(at) = q.pop_cohort(&mut scratch) else {
-            unreachable!("hold model keeps the queue non-empty");
-        };
-        let refill = scratch.len();
-        for &e in &scratch {
-            q.mark_dispatched(at);
-            std::hint::black_box(e);
-            dispatched += 1;
-        }
-        for _ in 0..refill {
-            push(&mut q, at.as_ps(), &mut rng, &mut pushed);
-        }
-    }
-    Sample { wall_ns: t0.elapsed().as_nanos() as u64, events: dispatched }
-}
-
-/// Like [`measure`], but for the queue cohort-pop microbench
-/// (`xtask bench --events`): ns per dispatched event through
-/// [`EventQueue::pop_cohort`] + refill alone, with no simulator handler
-/// work in the timed region. Appended to `BENCH_trajectory.json` under
-/// its own `+events` label.
-///
-/// # Panics
-///
-/// Panics when `iters` is zero.
-pub fn measure_events(iters: u32) -> BenchReport {
-    assert!(iters > 0, "need at least one iteration");
-    run_events_pass();
-    let mut passes = Vec::new();
-    let mut kernel = Vec::new();
-    for _ in 0..iters {
-        kernel.push(calibration_ms());
-        passes.push(run_events_pass());
-    }
-    BenchReport {
-        iters,
-        runs_per_iter: 1,
-        events_per_iter: passes[0].events,
-        optimized: PathStats::of(&passes),
-        calibration: Calibration::of(&passes, &kernel),
-    }
 }
 
 /// Shared timing loop behind [`measure`] and [`measure_service`].

@@ -12,7 +12,7 @@ fn bench(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn check_does_not_combine_with_a_mode() {
-    for mode in ["--events", "--service", "--soak"] {
+    for mode in ["--service", "--soak"] {
         let out = bench(&[mode, "--check"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{mode} --check: {stderr}");
@@ -22,10 +22,18 @@ fn check_does_not_combine_with_a_mode() {
 
 #[test]
 fn two_modes_are_rejected() {
-    for pair in [["--service", "--events"], ["--events", "--soak"], ["--soak", "--service"]] {
+    for pair in [["--service", "--soak"], ["--soak", "--service"]] {
         let out = bench(&pair);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{pair:?}: {stderr}");
         assert!(stderr.contains("separate modes"), "{pair:?}: {stderr}");
     }
+}
+
+#[test]
+fn retired_events_mode_is_an_unknown_argument() {
+    let out = bench(&["--events"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--events: {stderr}");
+    assert!(stderr.contains("unknown argument '--events'"), "--events: {stderr}");
 }

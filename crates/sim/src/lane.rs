@@ -145,7 +145,7 @@ mod tests {
 
     /// Seeded interleavings of lane and queue pushes — dense equal
     /// timestamps, same-instant pushes made mid-dispatch, far-future
-    /// spikes that engage the calendar — popped through
+    /// spikes — popped through
     /// [`ChunkLane::pop_merged`] and checked against a [`BinaryHeap`]
     /// oracle on `(time, seq)`, with `scheduled()` / `dispatched()`
     /// parity. This pins FIFO-among-equals across the two sources.
@@ -189,9 +189,9 @@ mod tests {
                 tag += 1;
                 pushes += 1;
             }
-            // A third of the pushes go to the queue: enough to engage its
-            // calendar (128 pending), so bin promotion runs mid-merge.
-            assert!(queue.len() >= 128, "seed {seed}: calendar never engaged");
+            // A third of the pushes go to the queue, so both sides hold a
+            // deep backlog when the merge starts.
+            assert!(queue.len() >= 128, "seed {seed}: queue backlog too shallow");
             while let Some((at, got)) = lane.pop_merged(&mut queue, Src::Lane) {
                 let Some(Reverse((t, _, want))) = oracle.pop() else {
                     panic!("seed {seed}: merged pop returned more events than were pushed");

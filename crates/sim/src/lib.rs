@@ -6,11 +6,14 @@
 //! * [`Time`] / [`Dur`] — simulated time as integer picoseconds, so that
 //!   bandwidth arithmetic on sub-nanosecond bus transactions stays exact.
 //! * [`EventQueue`] — a priority queue of `(Time, sequence, E)` entries with
-//!   deterministic FIFO tie-breaking, and [`ChunkLane`], a side lane for
-//!   DMA chunk completions that shares the queue's sequence counter and
-//!   merges into its dispatch order exactly.
+//!   deterministic FIFO tie-breaking, kept as one sorted vector, and
+//!   [`ChunkLane`], a side lane for DMA chunk completions that shares the
+//!   queue's sequence counter and merges into its dispatch order exactly.
 //! * [`Timeline`] — a single-server resource model used for DMA engines,
 //!   interconnect lanes, and the DRAM channel.
+//!
+//! It also holds the deterministic hashing and randomness every crate
+//! seeds from: [`SplitMix64`] and [`fnv1a`].
 //!
 //! The kernel is intentionally free of wall-clock access, threads, and global
 //! state: given the same inputs, a simulation always produces the same event
@@ -51,7 +54,7 @@ pub use idmap::{IdHashMap, IdHasher};
 pub use intern::{AppId, Intern, InternId, KindId};
 pub use lane::ChunkLane;
 pub use queue::EventQueue;
-pub use rng::SplitMix64;
+pub use rng::{fnv1a, SplitMix64};
 pub use slab::SlotAlloc;
 pub use stall::{StallError, StallKind};
 pub use time::{Dur, Time};

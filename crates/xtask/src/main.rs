@@ -13,10 +13,14 @@
 //!    `expect`s document event-loop invariants via explicit
 //!    file/function-level allows). Skipped with a notice when the
 //!    clippy component is not installed.
-//! 3. `campaign_smoke` (release) — the deterministic campaign engine
+//! 3. `unit` — `cargo test --offline --workspace --lib`: every library
+//!    crate's unit tests, which a root-package `cargo test` never runs.
+//!    Among them are the `BinaryHeap`-oracle property tests that pin the
+//!    event queue's and the chunk lane's `(time, seq)` dispatch order.
+//! 4. `campaign_smoke` (release) — the deterministic campaign engine
 //!    executes a small grid serially and with two workers and proves the
 //!    reports byte-identical.
-//! 4. `cache-hygiene` — the standard campaign-cache directory holds no
+//! 5. `cache-hygiene` — the standard campaign-cache directory holds no
 //!    entries written under a stale schema version or code-version salt
 //!    (they can never hit again; `cache_hygiene --purge` deletes them).
 //!    `chaos-smoke` (release) — the chaos campaign binary executes a
@@ -29,7 +33,7 @@
 //!    hold in a release build via the `invariants` feature, and
 //!    `only-smoke` renders one artifact with `all_experiments --only
 //!    table2 --no-cache` and checks that an unknown `--only` name exits 2.
-//! 5. The determinism, conformance, and property test suites:
+//! 6. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: warm reruns simulate zero cells with
 //!    byte-identical reports, corrupt entries fall back to simulation,
@@ -54,7 +58,7 @@
 //!    (the ahead-of-time scheduling bound: oracle ≤ every online
 //!    policy, prediction = replay bit-exactly, beam-width monotonicity,
 //!    recorded-run replay differentials).
-//! 6. `xtask bench --check` — a short run of the hot-path benchmark that
+//! 7. `xtask bench --check` — a short run of the hot-path benchmark that
 //!    validates the `BENCH_simcore.json` schema and then gates on the
 //!    committed baseline: the fresh run's fastest pass, as ns/event over
 //!    the calibration kernel's ms (a fixed SplitMix64 fill plus sort,
@@ -73,12 +77,11 @@
 //! `BENCH_simcore.json` (schema v3) at the repo root, and appends the run's
 //! medians to the `BENCH_trajectory.json` history (see README.md).
 //! Extra arguments (`--iters N`, `--out PATH`, `--check`,
-//! `--tolerance PCT`, `--service`, `--events`, `--soak`, `--smoke`,
-//! `--jobs N`) are forwarded to the
+//! `--tolerance PCT`, `--service`, `--soak`, `--smoke`, `--jobs N`) are
+//! forwarded to the
 //! `simcore_bench` binary; `bench --service` times the open-loop
 //! service subset and appends a `+service` trajectory entry instead,
-//! `bench --events` times the calendar-queue cohort-pop microbench
-//! alone, appending a `+events` entry, and `bench --soak` drives the
+//! and `bench --soak` drives the
 //! million-request bounded-memory MMPP soak, appending a `+soak` entry
 //! that also records peak RSS, the live-slot high-water mark and the
 //! calibration kernel's ms. `bench --check` additionally gates a reduced
@@ -112,7 +115,7 @@ fn have_clippy() -> bool {
         .unwrap_or(false)
 }
 
-/// The integration-test suites step 5 runs, as `(package, test target)`.
+/// The integration-test suites step 6 runs, as `(package, test target)`.
 const TEST_SUITES: [(&str, &str); 13] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
@@ -130,9 +133,10 @@ const TEST_SUITES: [(&str, &str); 13] = [
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
-const META_SUITES: [&str; 9] = [
+const META_SUITES: [&str; 10] = [
     "build",
     "lint",
+    "unit",
     "campaign-smoke",
     "cache-hygiene",
     "chaos-smoke",
@@ -233,6 +237,12 @@ fn check(args: &[String]) -> ExitCode {
         } else {
             println!("==> clippy component not installed; skipping lint gate");
         }
+    }
+    if wants("unit") {
+        ok &= run(
+            "cargo test --offline --workspace --lib",
+            Command::new("cargo").args(["test", "--offline", "--workspace", "--lib"]),
+        );
     }
     if wants("campaign-smoke") {
         ok &= run(
@@ -379,7 +389,7 @@ fn main() -> ExitCode {
         Some("bench") => bench(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- <check [--suite NAMES] [--list-suites] | bench [--iters N] [--out PATH] [--check] [--tolerance PCT] [--service] [--events] [--soak [--smoke] [--jobs N]]>"
+                "usage: cargo run -p xtask -- <check [--suite NAMES] [--list-suites] | bench [--iters N] [--out PATH] [--check] [--tolerance PCT] [--service] [--soak [--smoke] [--jobs N]]>"
             );
             ExitCode::from(2)
         }

@@ -199,7 +199,12 @@ fn parse_args() -> Result<Args, String> {
             "--continuous" => args.continuous = true,
             "--limit-ms" => {
                 let v = it.next().ok_or("--limit-ms needs a value")?;
-                args.limit_ms = Some(v.parse().map_err(|_| format!("bad --limit-ms '{v}'"))?);
+                let ms: u64 = v.parse().map_err(|_| format!("bad --limit-ms '{v}'"))?;
+                // Simulated time is u64 picoseconds; a wider cap would wrap.
+                if ms.checked_mul(1_000_000_000).is_none() {
+                    return Err("--limit-ms out of range".into());
+                }
+                args.limit_ms = Some(ms);
             }
             "--crossbar" => args.crossbar = true,
             "--no-forwarding" => args.no_forwarding = true,
@@ -247,6 +252,9 @@ fn parse_args() -> Result<Args, String> {
                 let us: u64 = v.parse().map_err(|_| format!("bad --duration-us '{v}'"))?;
                 if us == 0 {
                     return Err("--duration-us must be positive".into());
+                }
+                if us.checked_mul(1_000_000).is_none() {
+                    return Err("--duration-us out of range".into());
                 }
                 args.duration_us = us;
             }

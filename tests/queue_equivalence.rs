@@ -1,4 +1,4 @@
-//! Hot-path equivalence suite: the calendar event queue, interned kind
+//! Hot-path equivalence suite: the sorted-vector event queue, interned kind
 //! ids and the carried consumer index must not change one bit of
 //! *simulated* behaviour. Each cell's observable outcome is pinned to a
 //! committed digest (see `common`) that was captured while the
@@ -9,8 +9,9 @@
 //!    high-contention mix: `RunStats`, per-app accounting, prediction
 //!    samples, executed-task traces, and the event count.
 //! 2. **Fault recovery** — with task faults, DMA faults, and unit
-//!    outages injected (requeues at the current instant plus far-future
-//!    repair events, the calendar queue's hardest traffic).
+//!    outages injected (requeues at the current instant, which must pop
+//!    after every earlier same-instant event, plus far-future repair
+//!    events).
 //! 3. **Continuous contention** — the 50 ms time-limited repeat path
 //!    under the paper's policy and the FCFS baseline.
 

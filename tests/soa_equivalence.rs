@@ -10,8 +10,9 @@
 //!    policies plus the three extensions), with deterministic fault
 //!    injection folded into every fourth seed.
 //! 2. **Service mode** — open-loop Poisson arrivals with admission
-//!    control, where mid-stream task insertion stresses the calendar
-//!    queue's near rung and the arena's slot reuse (generation bumps).
+//!    control, where mid-stream task insertion lands events next to the
+//!    event queue's head and stresses the arena's slot reuse
+//!    (generation bumps).
 //!
 //! Every digest covers the full `RunStats` Debug rendering (floats
 //! render through their full shortest-round-trip form, so bit drift is
@@ -90,8 +91,8 @@ fn twenty_seeds_rotate_all_eleven_policies() {
 
 /// Open-loop service mode: Poisson arrivals, admission
 /// control, and three QoS tenants. Mid-stream DAG instantiation reuses
-/// arena slots (generation bumps) and lands events on the calendar
-/// queue's near rung while it is draining — the hardest traffic for the
+/// arena slots (generation bumps) and lands events next to the event
+/// queue's head while it is draining — the hardest traffic for the
 /// batched dispatcher.
 #[test]
 fn service_mode_agrees_across_seeds_and_policies() {
